@@ -3,9 +3,10 @@
 Every verb prints one JSON report on stdout, byte-identical across runs for
 identical inputs and flags.  Exit codes: 0 when the question was decided or
 the object constructed, 1 when a verb that promises a witness decides the
-answer is negative, 2 for malformed input (files, expressions, point sets)
-and violated preconditions.  ``--timing`` writes elapsed wall time to stderr
-so stdout stays reproducible.
+answer is negative, 2 for malformed input (files, expressions, point sets),
+violated preconditions and refused work, and 3 for an unexpected internal
+error (never 1, so a crash cannot pass for a negative answer).  ``--timing``
+writes elapsed wall time to stderr so stdout stays reproducible.
 
 Finite spaces travel as JSON documents {"points": n, "open_sets": [[...]]}
 with integer point indices; ``census --out`` emits one such document per
@@ -41,7 +42,7 @@ def _load_doc(path: str):
             return json.load(fh)
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror or e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:     # malformed JSON or an over-long integer
         raise InputError(f"invalid JSON in {path}: {e}") from None
 
 
@@ -53,7 +54,7 @@ def _space_from_file(path: str):
 def _parse_point_set(text: str, n: int, what: str) -> int:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:     # malformed JSON or an over-long integer
         raise InputError(f"bad point set for {what}: {e}") from None
     if not isinstance(doc, list):
         raise InputError(f"point set for {what} must be a JSON list")
@@ -368,6 +369,9 @@ def main(argv=None) -> int:
     except (InputError, PreconditionError, ResourceError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     if args.timing:
         ms = (time.perf_counter() - start) * 1000.0

@@ -66,8 +66,13 @@ class _Scanner:
         m = _DIGITS.match(self.text, self.pos)
         if not m:
             raise self.error("expected digits")
+        try:
+            value = int(m.group())
+        except ValueError:      # CPython's limit on int-from-string digits
+            raise self.error(f"number too long ({m.end() - m.start()} "
+                             "digits)") from None
         self.pos = m.end()
-        return int(m.group())
+        return value
 
     def unsigned_rational(self) -> Fraction:
         num = self.digits()

@@ -12,6 +12,12 @@ Three deterministic streams, all in exact Fraction arithmetic:
 RationalEnumeration wraps a stream with an index cache so procedures can
 speak of "the least index whose value satisfies P" and replay byte-identically
 across runs.
+
+first_in_interval answers that question in closed form when P is membership
+in an interval: the Calkin-Wilf and Stern-Brocot trees share their rows, so
+the first term of enum_all_rationals() inside a convex set is 0 or the
+set's unique shallowest Stern-Brocot node (with its sign), found by a
+continued-fraction descent without walking the stream.
 """
 
 import math
@@ -97,6 +103,54 @@ class RationalEnumeration:
     def index_of(self, q: Fraction) -> int:
         i, _ = self.scan(lambda v: v == q)
         return i
+
+
+def _simplest_positive(lo: Fraction, lo_closed: bool, hi, hi_closed: bool):
+    """Shallowest Stern-Brocot node in a nonempty interval of (0, inf).
+
+    lo >= 0 is finite (open when 0); hi is a Fraction or None for inf.  Each
+    step either finds the least integer in the interval, which is then the
+    shallowest node, or strips the common integer part n and inverts,
+    x = n + 1/y, mapping the interval into (1, inf) for the next partial
+    quotient.  (p, p0) / (q, q0) carry the last two convergents.
+    """
+    p, q, p0, q0 = 1, 0, 0, 1
+    while True:
+        n = lo.numerator // lo.denominator
+        m = n if lo_closed and lo == n else n + 1
+        if hi is None or m < hi or (m == hi and hi_closed):
+            return Fraction(p * m + p0, q * m + q0)
+        p, q, p0, q0 = p * n + p0, q * n + q0, p, q
+        lo, lo_closed, hi, hi_closed = (
+            1 / (hi - n), hi_closed,
+            None if lo == n else 1 / (lo - n), lo_closed and lo != n)
+
+
+def first_in_interval(lo, lo_closed: bool, hi, hi_closed: bool):
+    """The first term of enum_all_rationals() in the interval from lo to hi,
+    or None when the interval is empty; None for an end means infinite.
+
+    Computed directly: 0 when the interval holds it, otherwise the simplest
+    rational of the interval's positive mirror, with the interval's sign.
+    That is exact because Calkin-Wilf row k holds the same rationals as
+    Stern-Brocot row k, a convex set of positive rationals has exactly one
+    shallowest Stern-Brocot node, and the enumeration lists q just before -q.
+    """
+    lo = None if lo is None else Fraction(lo)
+    hi = None if hi is None else Fraction(hi)
+    lo_closed = lo_closed and lo is not None
+    hi_closed = hi_closed and hi is not None
+    if lo is not None and hi is not None and (
+            lo > hi or (lo == hi and not (lo_closed and hi_closed))):
+        return None
+    above_zero = lo is not None and (lo > 0 or (lo == 0 and not lo_closed))
+    below_zero = hi is not None and (hi < 0 or (hi == 0 and not hi_closed))
+    if above_zero:
+        return _simplest_positive(lo, lo_closed, hi, hi_closed)
+    if below_zero:
+        return -_simplest_positive(-hi, hi_closed,
+                                   None if lo is None else -lo, lo_closed)
+    return Fraction(0)
 
 
 def all_rationals() -> RationalEnumeration:

@@ -9,8 +9,9 @@ in form, which makes everything here decidable by pattern matching on
 canonical SymbolicSets: classification, closures, Urysohn-style ramps between
 gap-separated closed sets, Tietze-style extensions off closed pieces,
 continuity verdicts for piecewise-affine maps, the effective separation
-function F obtained by scanning a fixed enumeration of ℚ, and the dyadic
-open-set ladders F generates.
+function F, which splits at the first qualifying rational of a fixed
+enumeration of ℚ (computed in closed form by a Stern–Brocot descent, with no
+enumeration walked and no cap), and the dyadic open-set ladders F generates.
 
 Continuity targets:
 
@@ -31,14 +32,12 @@ from fractions import Fraction
 
 from .errors import InputError, PreconditionError, ResourceError
 from .pwmaps import PiecewiseMap, constant_map, make_pwmap
-from .rationals import all_rationals, dyadic_neighbors
+from .rationals import dyadic_neighbors, first_in_interval
 from .symsets import (ALL_REALS, EMPTY_SET, Interval, SymbolicSet, above,
                       below, make_set)
 
 SPACES = ("gtn", "gts")
 TARGETS = ("taun", "gtaun")
-
-_PSI = all_rationals()  # the fixed scan order every effective construction uses
 
 
 def _check_space(space: str) -> None:
@@ -311,31 +310,41 @@ class SymbolicWitness:
     v: SymbolicSet
 
 
-def _ray_scan(a: SymbolicSet, b: SymbolicSet) -> SymbolicWitness:
-    def hit(q):
-        return ((a.issubset(below(q)) and b.issubset(above(q)))
-                or (b.issubset(below(q)) and a.issubset(above(q))))
+def _first_split(left: SymbolicSet, right: SymbolicSet, right_closed: bool):
+    """First rational q of the fixed enumeration of ℚ with left ⊆ (−∞,q) and
+    right ⊆ (q,∞), or right ⊆ [q,∞) when right_closed; None if there is none.
 
-    _, q = _PSI.scan(hit)
-    if a.issubset(below(q)) and b.issubset(above(q)):
-        return SymbolicWitness(below(q), above(q))
-    return SymbolicWitness(above(q), below(q))
+    Those q form one interval, read off sup left and inf right."""
+    s, s_attained = left.sup()
+    t, t_attained = right.inf()
+    if s is None or t is None:
+        return None
+    return first_in_interval(s, not s_attained, t,
+                             right_closed or not t_attained)
 
 
-def _clopen_split_scan(a: SymbolicSet, b: SymbolicSet) -> SymbolicWitness:
-    def hit(q):
-        return ((a.issubset(below(q)) and b.issubset(above(q, closed=True)))
-                or (b.issubset(below(q)) and a.issubset(above(q, closed=True))))
-
-    _, q = _PSI.scan(hit)
-    if a.issubset(below(q)) and b.issubset(above(q, closed=True)):
-        return SymbolicWitness(below(q), above(q, closed=True))
-    return SymbolicWitness(above(q, closed=True), below(q))
+def _split(a: SymbolicSet, b: SymbolicSet, right_closed: bool
+           ) -> SymbolicWitness:
+    """Split at the first rational that puts a below and b above, or b below
+    and a above.  For a nonempty disjoint closed pair only one orientation
+    has split points at all, so positions never need comparing."""
+    q = _first_split(a, b, right_closed)
+    if q is None:
+        q = _first_split(b, a, right_closed)
+    if a.issubset(below(q)) and b.issubset(above(q, closed=right_closed)):
+        return SymbolicWitness(below(q), above(q, closed=right_closed))
+    return SymbolicWitness(above(q, closed=right_closed), below(q))
 
 
 def effective_F(a: SymbolicSet, b: SymbolicSet, space: str) -> SymbolicWitness:
     """Deterministic disjoint open cover ⟨U ⊇ a, V ⊇ b⟩ for closed disjoint
-    a, b: the first qualifying split point in the fixed enumeration of ℚ."""
+    a, b: the first qualifying split point in the fixed enumeration of ℚ
+    (0, then the Calkin–Wilf walk interleaved with its negatives).
+
+    The split point is computed in closed form by first_in_interval, so no
+    enumeration is walked and no pair is refused for lying too deep in it.
+    In gtn the split is (−∞,q) | (q,∞); in gts it is (−∞,q) | [q,∞), and a
+    gts-open member is its own half of the cover."""
     _check_space(space)
     _check_closed_pair(a, b, space)
     if space == "gts":
@@ -343,12 +352,12 @@ def effective_F(a: SymbolicSet, b: SymbolicSet, space: str) -> SymbolicWitness:
             return SymbolicWitness(a, a.complement())
         if _open_in(b, "gts"):
             return SymbolicWitness(b.complement(), b)
-        return _clopen_split_scan(a, b)
+        return _split(a, b, right_closed=True)
     if a.is_empty:
         return SymbolicWitness(EMPTY_SET, ALL_REALS)
     if b.is_empty:
         return SymbolicWitness(ALL_REALS, EMPTY_SET)
-    return _ray_scan(a, b)
+    return _split(a, b, right_closed=False)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,9 @@ from .errors import InputError, PreconditionError, ResourceError
 def mask_from_points(points: Iterable[int], n: int) -> int:
     m = 0
     for p in points:
-        if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < n:
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise InputError(f"point indices must be integers, got {p!r}")
+        if not 0 <= p < n:
             raise InputError(f"point {p!r} outside ground set 0..{n - 1}")
         m |= 1 << p
     return m

@@ -1,0 +1,62 @@
+"""The effective separator F by scanning the fixed enumeration of Q.
+
+This is how effective_F was computed before its closed form: walk 0, then
+the Calkin-Wilf walk interleaved with its negatives, and stop at the first
+rational q with a ⊆ (-inf,q) and b ⊆ (q,inf) -- [q,inf) in gts -- or the
+other way round.  Only set algebra decides a hit, so none of the library's
+sup/inf region arithmetic or Stern-Brocot descent is shared with the code
+being checked.  The enumeration keeps its million-term cap, past which the
+scan raises ResourceError.
+
+Deep scans would spend seconds in set algebra, so each rational is first
+tested against a few member points of a and b (the finite component ends
+each set contains).  That test is necessary for a hit, so it only skips
+rationals the set algebra would reject.
+"""
+
+from gtopo.rationals import all_rationals
+from gtopo.realline import SymbolicWitness, classify
+from gtopo.symsets import ALL_REALS, EMPTY_SET, above, below
+
+_PSI = all_rationals()
+
+
+def _member_ends(s):
+    return [e for c in s.components for e in (c.lo, c.hi)
+            if e is not None and s.contains(e)]
+
+
+def scan_split_point(a, b, space):
+    """Index and value of the first rational that splits a from b."""
+    closed = space == "gts"
+    ends_a, ends_b = _member_ends(a), _member_ends(b)
+
+    def may_split(q, left, right):
+        return (all(x < q for x in left)
+                and all(y > q or (closed and y == q) for y in right))
+
+    def hit(q):
+        return ((may_split(q, ends_a, ends_b)
+                 and a.issubset(below(q)) and b.issubset(above(q, closed)))
+                or (may_split(q, ends_b, ends_a)
+                    and b.issubset(below(q)) and a.issubset(above(q, closed))))
+
+    return _PSI.scan(hit)
+
+
+def scan_effective_F(a, b, space):
+    """effective_F for a disjoint closed pair, with the split point scanned."""
+    if space == "gts":
+        if classify(a, "gts") in ("open", "clopen"):
+            return SymbolicWitness(a, a.complement())
+        if classify(b, "gts") in ("open", "clopen"):
+            return SymbolicWitness(b.complement(), b)
+    elif a.is_empty:
+        return SymbolicWitness(EMPTY_SET, ALL_REALS)
+    elif b.is_empty:
+        return SymbolicWitness(ALL_REALS, EMPTY_SET)
+    closed = space == "gts"
+    _, q = scan_split_point(a, b, space)
+    if a.issubset(below(q)) and b.issubset(above(q, closed)):
+        return SymbolicWitness(below(q), above(q, closed))
+    return SymbolicWitness(above(q, closed), below(q))

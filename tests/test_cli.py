@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from gtopo import cli
+
 DIAMOND = {"points": 3, "open_sets": [[], [0, 1], [1, 2], [0, 1, 2]]}
 PARTITION = {"points": 4, "open_sets": [[], [0, 1], [2, 3], [0, 1, 2, 3]]}
 SIERPINSKI = {"points": 2, "open_sets": [[], [0], [0, 1]]}
@@ -213,6 +215,13 @@ def test_real_effective_f_report():
     assert doc["u"] == "[1,inf)" and doc["v"] == "(-inf,1)"
 
 
+def test_real_effective_f_far_out_pair():
+    # beyond the million terms an enumeration scan would have walked
+    doc = run_json("real", "effective-f", "--a", "[30,30]", "--b", "[31,31]",
+                   "--space", "gtn")
+    assert doc["u"] == "(-inf,61/2)" and doc["v"] == "(61/2,inf)"
+
+
 def test_real_ladder_report():
     doc = run_json("real", "ladder", "--a", "[0,1]", "--b", "[2,3]",
                    "--space", "gtn", "--level", "2")
@@ -247,3 +256,37 @@ def test_argparse_errors_exit_2():
     run_cli("frobnicate", expect=2)
     run_cli("real", "classify", "--set", "[0,1]", "--space", "metric",
             expect=2)
+
+
+def test_over_long_literals_exit_2(files, tmp_path):
+    nines = "9" * 5000
+    proc = run_cli("real", "classify", "--set", f"[0,{nines}]",
+                   "--space", "gtn", expect=2)
+    assert "number too long (5000 digits) (at position 3)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    path = tmp_path / "long.json"
+    path.write_text('{"points": 2, "open_sets": [[], [' + nines + ']]}')
+    proc = run_cli("validate", str(path), expect=2)
+    assert "invalid JSON" in proc.stderr and "Traceback" not in proc.stderr
+    proc = run_cli("witness", files("s.json", SIERPINSKI), "--a", f"[{nines}]",
+                   "--b", "[1]", "--mode", "gul", expect=2)
+    assert "bad point set for --a" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_float_point_index_exit_2(files):
+    doc = {"points": 2, "open_sets": [[], [0.0], [0, 1]]}
+    proc = run_cli("validate", files("float.json", doc), expect=2)
+    assert "point indices must be integers, got 0.0" in proc.stderr
+
+
+def test_unexpected_exception_exits_3(monkeypatch, capsys):
+    def broken(args):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(cli, "_run_real_classify", broken)
+    code = cli.main(["real", "classify", "--set", "[0,1]", "--space", "gtn"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: ZeroDivisionError: planted\n"

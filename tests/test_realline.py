@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import gtopo.realline as realline
 from gtopo.errors import InputError, PreconditionError, ResourceError
 from gtopo.expressions import parse_set
 from gtopo.pwmaps import constant_map, is_continuous_everywhere, make_pwmap
@@ -15,6 +16,7 @@ from gtopo.realline import (LiftedWitness, OpenTriple, SymbolicWitness,
                             product_gul_witness, tietze_extend)
 from gtopo.symsets import (ALL_REALS, EMPTY_SET, Interval, above, below,
                            interval, make_set, point)
+from effective_f_oracle import scan_effective_F, scan_split_point
 from test_pwmaps import RAMP, STEP, rand_map
 from test_symsets import rand_set
 
@@ -22,9 +24,10 @@ S = parse_set
 GUL_EXAMPLE = gul_witness(S("[0,1]"), S("[2,3]"), "gtn")  # ramp over (1,2)
 
 
-def rand_closed_pair(rng, space):
-    """Two disjoint nonempty closed catalog sets, in random orientation."""
-    pool = sorted({F(n, d) for n in range(-8, 9) for d in (1, 2)})
+def rand_closed_pair(rng, space, dens=(1, 2)):
+    """Two disjoint nonempty closed catalog sets, in random orientation,
+    with ends n/d for n in -8..8 and d in dens."""
+    pool = sorted({F(n, d) for n in range(-8, 9) for d in dens})
     pts = sorted(rng.sample(pool, 4))
     p1, p2, p3, p4 = pts
     lefts = [below(p1, closed=True), interval(p1, p2, True, True), point(p1)]
@@ -395,6 +398,52 @@ def test_effective_f_contract_sweep():
         assert classify(w.v, space) in ("open", "clopen")
         assert w.u.isdisjoint(w.v)
         assert a.issubset(w.u) and b.issubset(w.v)
+
+
+def test_effective_f_far_out_pair():
+    # 61/2 sits about 31 rows deep in the Calkin-Wilf walk
+    w = effective_F(S("[30,30]"), S("[31,31]"), "gtn")
+    assert w == SymbolicWitness(S("(-inf,61/2)"), S("(61/2,inf)"))
+    w2 = effective_F(S("[31,31]"), S("[30,30]"), "gts")
+    assert w2 == SymbolicWitness(S("[31,inf)"), S("(-inf,31)"))
+
+
+def test_effective_f_matches_scan_on_random_pairs():
+    rng = random.Random(61902)
+    deepest = 0
+    for _ in range(500):
+        for space in ("gtn", "gts"):
+            a, b = rand_closed_pair(rng, space, dens=range(1, 8))
+            assert effective_F(a, b, space) == scan_effective_F(a, b, space)
+            deepest = max(deepest, scan_split_point(a, b, space)[0])
+    assert deepest > 100
+
+
+LADDER_PAIRS = {
+    "gtn": (("[0,1]", "[2,3]"), ("[2,3]", "(-inf,0]"),
+            ("[-1/3,1/2]", "[1,inf)"), ("(-inf,-2]", "[-1,5]")),
+    "gts": (("[0,1)", "[1,2]"), ("[2,3]", "(-inf,0]"),
+            ("[-1/3,1/2)", "[1,5/2]"), ("(-inf,-2]", "[-1,5)")),
+}
+
+
+@pytest.mark.parametrize("space", ["gtn", "gts"])
+def test_effective_f_matches_scan_on_ladder_rungs(space, monkeypatch):
+    calls = []
+    original = realline.effective_F
+
+    def recording(a, b, sp):
+        w = original(a, b, sp)
+        calls.append((a, b, sp, w))
+        return w
+
+    monkeypatch.setattr(realline, "effective_F", recording)
+    for a, b in LADDER_PAIRS[space]:
+        calls.clear()
+        ladder_from_F(S(a), S(b), space, 8)
+        assert len(calls) == 255
+        for lower, upper, sp, w in calls:
+            assert scan_effective_F(lower, upper, sp) == w
 
 
 def test_effective_f_preconditions():

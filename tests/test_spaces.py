@@ -286,6 +286,15 @@ def test_parse_space_dict_rejects_junk():
             parse_space_dict(doc)
 
 
+def test_point_index_type_and_range_messages():
+    for bad in (0.0, True, "0"):
+        with pytest.raises(InputError,
+                           match=f"point indices must be integers, got {bad!r}"):
+            mask_from_points([bad], 2)
+    with pytest.raises(InputError, match="point 2 outside ground set 0..1"):
+        mask_from_points([2], 2)
+
+
 def test_close_under_union():
     fam = close_under_union([0b001, 0b010])
     assert fam == {0b001, 0b010, 0b011}
