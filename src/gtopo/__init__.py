@@ -3,8 +3,10 @@ properties of generalized topological spaces.
 
 Two halves share one vocabulary.  The finite half (`spaces`, `urysohn`)
 represents spaces as bitmask families and decides the separation statements
-UL, GUL, TET and GTET by exhaustive search, with ladders, effective
-witnesses, and chain families as certificates.  The symbolic half
+UL, GUL, TET and GTET exactly through the space's clopen sets (on finite
+spaces normality is clopen separation, and continuous fiber structures are
+clopen partitions or chains), with ladders, effective witnesses, and chain
+families as certificates.  The symbolic half
 (`symsets`, `pwmaps`, `expressions`, `realline`) works on the real line
 with exact rational endpoints: two ray-generated generalized topologies,
 their closure operators, separating ramps, continuity checks against the

@@ -28,8 +28,9 @@ from .spaces import (canonical_family, enumerate_strong_gts,
                      generated_topology, make_space, mask_from_points,
                      parse_space_dict, points_from_mask, product,
                      separation_profile, space_to_dict, validate_gt)
-from .urysohn import (STATEMENTS, decide_gul_pair, decide_statement,
-                      decide_ul_pair, effective_witness, is_u_normal)
+from .urysohn import (STATEMENTS, check_extension_size, decide_gul_pair,
+                      decide_statement, decide_ul_pair, effective_witness,
+                      is_u_normal)
 
 
 def fmt_q(v) -> str:
@@ -78,6 +79,7 @@ def _run_validate(args):
 
 def _run_props(args):
     space = _space_from_file(args.file)
+    check_extension_size(space.n)   # TET/GTET would refuse; refuse up front
     prof = separation_profile(space)
     un = is_u_normal(space, args.u_normal_max)
     doc = {"verb": "props",

@@ -102,14 +102,6 @@ def classify(s: SymbolicSet, space: str) -> str:
     return "neither"
 
 
-def _open_in(s: SymbolicSet, space: str) -> bool:
-    return _is_open_form(s, space)
-
-
-def _closed_in(s: SymbolicSet, space: str) -> bool:
-    return _is_closed_form(s, space)
-
-
 def closure_sym(s: SymbolicSet, space: str) -> SymbolicSet:
     """Least closed-catalog superset: the hull, with end flags per catalog."""
     _check_space(space)
@@ -130,7 +122,7 @@ def closure_sym(s: SymbolicSet, space: str) -> SymbolicSet:
 
 def _check_closed_pair(a: SymbolicSet, b: SymbolicSet, space: str) -> None:
     for name, s in (("a", a), ("b", b)):
-        if not _closed_in(s, space):
+        if not _is_closed_form(s, space):
             raise PreconditionError(f"{name} is not closed in {space}")
     if not a.isdisjoint(b):
         raise PreconditionError("a and b intersect")
@@ -191,7 +183,7 @@ def _windows(params, target):
 def check_continuity_sym(f: PiecewiseMap, source: str, target: str) -> bool:
     _check_space(source)
     _check_target(target)
-    return all(_open_in(f.preimage_open(lo, hi), source)
+    return all(_is_open_form(f.preimage_open(lo, hi), source)
                for lo, hi in _windows(_probe_values(f), target))
 
 
@@ -246,7 +238,7 @@ def _slice_between(f: PiecewiseMap, lo, hi):
 def tietze_extend(p: SymbolicSet, f: PiecewiseMap, target: str) -> PiecewiseMap:
     """Extend f off the closed set p by freezing the boundary values."""
     _check_target(target)
-    if not _closed_in(p, "gtn"):
+    if not _is_closed_form(p, "gtn"):
         raise PreconditionError("p is not closed in gtn")
     if p.is_empty or p.is_all:
         raise PreconditionError("p must be a proper nonempty closed set")
@@ -348,9 +340,9 @@ def effective_F(a: SymbolicSet, b: SymbolicSet, space: str) -> SymbolicWitness:
     _check_space(space)
     _check_closed_pair(a, b, space)
     if space == "gts":
-        if _open_in(a, "gts"):
+        if _is_open_form(a, "gts"):
             return SymbolicWitness(a, a.complement())
-        if _open_in(b, "gts"):
+        if _is_open_form(b, "gts"):
             return SymbolicWitness(b.complement(), b)
         return _split(a, b, right_closed=True)
     if a.is_empty:
@@ -418,7 +410,7 @@ def product_gul_witness(a1: SymbolicSet, a2: SymbolicSet, b1: SymbolicSet,
                         b2: SymbolicSet, space: str) -> LiftedWitness:
     _check_space(space)
     for name, s in (("a1", a1), ("a2", a2), ("b1", b1), ("b2", b2)):
-        if not _closed_in(s, space):
+        if not _is_closed_form(s, space):
             raise PreconditionError(f"{name} is not closed in {space}")
     if a1.is_empty or a2.is_empty:
         return LiftedWitness(1, constant_map(1))

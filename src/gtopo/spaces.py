@@ -8,10 +8,11 @@ families are tuples of masks in a canonical order, and every operation here
 is a pure function so census sweeps can memoize freely.
 """
 
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .errors import InputError, PreconditionError, ResourceError
 
@@ -53,14 +54,15 @@ def canonical_family(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(set(masks), key=canonical_key))
 
 
-def close_under_union(masks: Iterable[int]) -> set[int]:
-    """Smallest superfamily closed under pairwise (hence arbitrary) union."""
+def close_under(masks: Iterable[int], op=operator.or_) -> set[int]:
+    """Smallest superfamily closed under the pairwise operation op; for the
+    default union this is closure under arbitrary (nonempty) unions."""
     family = set(masks)
     frontier = list(family)
     while frontier:
         m = frontier.pop()
         for x in list(family):
-            u = m | x
+            u = op(m, x)
             if u not in family:
                 family.add(u)
                 frontier.append(u)
@@ -220,6 +222,31 @@ def interior(space: FiniteGT, a: int) -> int:
     return acc
 
 
+def clopen_separator(space: FiniteGT, a: int, b: int) -> Optional[int]:
+    """Canonically least clopen set containing a and missing b, or None.
+
+    On a finite space this one predicate carries normality: if every
+    disjoint closed pair has disjoint open covers, then a <= u gives a
+    closed cl(u) that still misses b, a cover u' of cl(u) follows, and the
+    rising chain a <= u <= cl(u) <= u' <= ... stops at a clopen set.
+    """
+    for c in space.clopens:
+        if a & ~c == 0 and c & b == 0:
+            return c
+    return None
+
+
+def clopen_defect(space: FiniteGT) -> Optional[tuple[int, int]]:
+    """First disjoint closed pair, in canonical order with a before b, that
+    no clopen set separates; None exactly when the space is normal."""
+    closeds = space.closeds
+    for i, a in enumerate(closeds):
+        for b in closeds[i:]:
+            if not a & b and clopen_separator(space, a, b) is None:
+                return (a, b)
+    return None
+
+
 def subspace(space: FiniteGT, a: int) -> FiniteGT:
     """Trace GT on a, points relabeled to 0..|a|-1 in point order."""
     _check_masks([a], space.n)
@@ -268,16 +295,8 @@ def generated_topology(space: FiniteGT) -> FiniteGT:
     intersection, then under union."""
     if not space.is_strong:
         raise PreconditionError("generated topology requires a strong space")
-    family = set(space.opens)
-    frontier = list(family)
-    while frontier:
-        m = frontier.pop()
-        for x in list(family):
-            w = m & x
-            if w not in family:
-                family.add(w)
-                frontier.append(w)
-    return FiniteGT(space.n, canonical_family(close_under_union(family)))
+    family = close_under(space.opens, operator.and_)
+    return FiniteGT(space.n, canonical_family(close_under(family)))
 
 
 def separation_profile(space: FiniteGT) -> SeparationProfile:
@@ -293,15 +312,7 @@ def separation_profile(space: FiniteGT) -> SeparationProfile:
             t0 = t0 and (sees_x or sees_y)
             t1 = t1 and (sees_x and sees_y)
             t2 = t2 and apart
-    normal = True
-    closeds = space.closeds
-    for i, a in enumerate(closeds):
-        for b in closeds[i:]:
-            if a & b:
-                continue
-            if not any(a & ~u == 0 and b & ~v == 0 and not u & v
-                       for u in opens for v in opens):
-                normal = False
+    normal = clopen_defect(space) is None
     return SeparationProfile(t0, t1, t2, normal)
 
 
@@ -396,7 +407,7 @@ def sample_strong_gts(n: int, count: int, seed: int) -> list[FiniteGT]:
                 f"could not find {count} distinct strong GTs on {n} points")
         bits = rng.getrandbits(len(cands))
         picked = [m for i, m in enumerate(cands) if bits >> i & 1]
-        opens = canonical_family(close_under_union([0, full, *picked]))
+        opens = canonical_family(close_under([0, full, *picked]))
         if opens not in seen:
             seen.add(opens)
             out.append(FiniteGT(n, opens))

@@ -1,38 +1,46 @@
 """Urysohn-type separation on finite GT spaces.
 
-Everything here is exact and exhaustive: functions are finite tuples of
-rationals, continuity is decided by fiber and ray-preimage criteria, the
-four separation statements (separating functions into the interval topology
-or the ray GT, extension of continuous functions off closed subspaces) are
-decided by brute-force search over partitions, and the ladder/one-step
-machinery that powers the classical dyadic construction is implemented so
+Everything here is exact: functions are finite tuples of rationals,
+continuity is decided by fiber and ray-preimage criteria, and the ladder and
+one-step machinery of the classical dyadic construction is implemented so
 its invariants can be machine-checked on every census space.
+
+The four separation statements (separating functions into the interval
+topology or the ray GT, extension of continuous functions off closed
+subspaces) are decided through one kernel, `spaces.clopen_separator`, and
+the clopen sets of the space.  On a finite strong GT this is exact, because
+the statements collapse onto clopens:
+
+- if a pair has disjoint open covers u, v, then cl(u) misses b, and when
+  every pair is so separated the chain a <= u <= cl(u) <= u' <= ... stops
+  at a clopen set, so normality, UL and GUL are clopen separation;
+- a `taun`-continuous fiber structure is a partition into clopens;
+- a `gtaun`-continuous fiber structure is a strict chain of clopens.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Iterator, Optional
 
 from .errors import InputError, NoExtension, PreconditionError, ResourceError
 from .rationals import dyadics_by_level, unit_rationals
-from .spaces import FiniteGT, canonical_key, closure, fmt_mask
+from .spaces import (FiniteGT, canonical_key, clopen_defect, clopen_separator,
+                     closure, fmt_mask, points_from_mask)
+from .symsets import as_fraction
 
 TARGETS = ("taun", "gtaun")
+
+# TET/GTET search every closed subspace's fiber structures; above this many
+# points the work is refused up front.
+EXTENSION_MAX_POINTS = 5
 
 
 def _check_target(target: str) -> None:
     if target not in TARGETS:
         raise InputError(f"target must be one of {TARGETS}, got {target!r}")
-
-
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, float):
-        raise InputError(f"refusing inexact float value: {v!r}")
-    try:
-        return Fraction(v)
-    except (ValueError, TypeError, ZeroDivisionError) as e:
-        raise InputError(f"not an exact rational: {v!r}") from e
 
 
 # ---------------------------------------------------------------- functions
@@ -75,11 +83,11 @@ class FiniteFunction:
 
 
 def make_function(values: Iterable) -> FiniteFunction:
-    return FiniteFunction(tuple(_as_fraction(v) for v in values))
+    return FiniteFunction(tuple(as_fraction(v) for v in values))
 
 
 def constant_function(n: int, value) -> FiniteFunction:
-    return FiniteFunction((_as_fraction(value),) * n)
+    return FiniteFunction((as_fraction(value),) * n)
 
 
 def check_continuity_finite(f: FiniteFunction, space: FiniteGT,
@@ -127,150 +135,43 @@ def decide_gul_pair(space: FiniteGT, a: int, b: int) -> Optional[FiniteFunction]
     canonically least one.
     """
     _check_pair(space, a, b)
-    for u in space.clopens:
-        if a & ~u == 0 and u & b == 0:
-            return FiniteFunction(tuple(
-                Fraction(0) if u >> p & 1 else Fraction(1)
-                for p in range(space.n)))
-    return None
-
-
-def _partition_region(space: FiniteGT, region: int) -> Optional[list[int]]:
-    """Exact cover of region by disjoint nonempty opens, or None."""
-    if region == 0:
-        return []
-    p = (region & -region).bit_length() - 1
-    for u in space.opens:
-        if u and u >> p & 1 and u & ~region == 0:
-            rest = _partition_region(space, region ^ u)
-            if rest is not None:
-                return [u] + rest
-    return None
+    u = clopen_separator(space, a, b)
+    if u is None:
+        return None
+    return FiniteFunction(tuple(Fraction(0) if u >> p & 1 else Fraction(1)
+                                for p in range(space.n)))
 
 
 def decide_ul_pair(space: FiniteGT, a: int, b: int) -> Optional[FiniteFunction]:
     """Separating function into the interval topology, or None.
 
-    Decided by the fiber criterion: the fibers must partition the space into
-    opens, with a and b inside distinct fibers carrying values 0 and 1.  The
-    verdict is cross-checked against the clopen route; on finite spaces the
-    two collapse, and a disagreement means a bug.
+    The fibers of such a function partition the space into opens, so every
+    fiber is clopen.  The fiber of a is the least clopen separator, the
+    fiber of b the first clopen around b that leaves a clopen partition of
+    the rest; those fibers get values 0 and 1, the rest 2, 3, ... in
+    canonical order.
     """
     _check_pair(space, a, b)
-    witness = None
     if a == 0:
-        witness = constant_function(space.n, 1)
-    elif b == 0:
-        witness = constant_function(space.n, 0)
-    else:
-        witness = _search_open_partition_witness(space, a, b)
-    other = next((u for u in space.clopens if a & ~u == 0 and u & b == 0), None)
-    if (witness is None) != (other is None):
-        raise RuntimeError(
-            "internal cross-check failed: fiber search and clopen search "
-            f"disagree on pair ({fmt_mask(a)}, {fmt_mask(b)})")
-    return witness
-
-
-def _search_open_partition_witness(space: FiniteGT, a: int,
-                                   b: int) -> Optional[FiniteFunction]:
-    for ua in space.opens:
-        if a & ~ua or ua & b:
+        return constant_function(space.n, 1)
+    if b == 0:
+        return constant_function(space.n, 0)
+    ua = clopen_separator(space, a, b)
+    if ua is None:
+        return None
+    for ub in space.clopens:
+        if b & ~ub or ub & ua:
             continue
-        for ub in space.opens:
-            if b & ~ub or ub & ua:
-                continue
-            rest = _partition_region(space, space.full ^ (ua | ub))
-            if rest is None:
-                continue
-            values = [Fraction(0)] * space.n
-            blocks = [(ua, Fraction(0)), (ub, Fraction(1))]
-            blocks += [(m, Fraction(k)) for k, m in
-                       enumerate(sorted(rest, key=canonical_key), start=2)]
-            for m, v in blocks:
-                for p in range(space.n):
-                    if m >> p & 1:
-                        values[p] = v
-            return FiniteFunction(tuple(values))
-    return None
-
-
-# ---------------------------------------------------------------- partitions
-
-def nonempty_submasks(region: int) -> Iterator[int]:
-    s = region
-    while s:
-        yield s
-        s = (s - 1) & region
-
-
-def ordered_partitions(region: int) -> Iterator[tuple[int, ...]]:
-    """All ordered partitions of region into nonempty blocks."""
-    if region == 0:
-        yield ()
-        return
-    for first in nonempty_submasks(region):
-        for rest in ordered_partitions(region ^ first):
-            yield (first, *rest)
-
-
-def set_partitions(region: int) -> Iterator[tuple[int, ...]]:
-    """All unordered partitions, one representative each: the block holding
-    the least remaining point comes first."""
-    if region == 0:
-        yield ()
-        return
-    low = region & -region
-    rest_pool = region ^ low
-    for extra in _all_submasks(rest_pool):
-        first = low | extra
-        for rest in set_partitions(region ^ first):
-            yield (first, *rest)
-
-
-def _all_submasks(region: int) -> Iterator[int]:
-    s = region
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & region
-
-
-def _continuous_partitions(trace_opens: frozenset[int], region: int,
-                           target: str) -> list[tuple[int, ...]]:
-    """Partitions of region that are continuous fiber structures relative to
-    the given open traces: taun wants every block open, gtaun wants every
-    prefix and suffix union open (block order = value order)."""
-    out = []
-    if target == "taun":
-        for part in set_partitions(region):
-            if all(m in trace_opens for m in part):
-                out.append(part)
-        return out
-    for part in ordered_partitions(region):
-        acc = 0
-        ok = True
-        for m in part:
-            acc |= m
-            if acc not in trace_opens:
-                ok = False
-                break
-        if ok:
-            acc = 0
-            for m in reversed(part):
-                acc |= m
-                if acc not in trace_opens:
-                    ok = False
-                    break
-        if ok:
-            out.append(part)
-    return out
-
-
-@lru_cache(maxsize=4096)
-def _continuous_x_partitions(space: FiniteGT, target: str) -> tuple:
-    return tuple(_continuous_partitions(space.open_set, space.full, target))
+        rest = next(_clopen_partitions(space.clopens,
+                                       space.full ^ (ua | ub)), None)
+        if rest is None:
+            continue
+        values = [Fraction(0)] * space.n
+        for k, m in enumerate((ua, ub, *sorted(rest, key=canonical_key))):
+            for p in points_from_mask(m):
+                values[p] = Fraction(k)
+        return FiniteFunction(tuple(values))
+    return None     # unreachable: the complement of ua is a clopen ub
 
 
 # ---------------------------------------------------------------- statements
@@ -287,12 +188,16 @@ STATEMENTS = ("UL", "GUL", "TET", "GTET")
 
 
 def decide_statement(space: FiniteGT, statement: str) -> StatementReport:
-    """Decide one of the four separation statements by exhaustive search.
+    """Decide one of the four separation statements exactly.
 
-    UL/GUL quantify the pair deciders over all disjoint closed pairs; the
-    extension statements quantify over every closed set and every continuous
-    fiber structure on its subspace, asking for a continuous fiber structure
-    on the whole space whose trace is the given one.
+    UL and GUL fail at the first disjoint closed pair that the pair deciders
+    cannot separate, which is the first pair with no clopen separator.  The
+    extension statements take every closed set a and every continuous fiber
+    structure on its subspace, and ask for a continuous fiber structure on
+    the whole space whose trace is the given one.  Both sides are built from
+    clopens: on the subspace its trace-clopens are listed directly, and on
+    the whole space a depth-first search looks for clopens with the wanted
+    traces (nested ones for GTET, a partition for TET).
     """
     st = statement.upper()
     if st not in STATEMENTS:
@@ -300,51 +205,92 @@ def decide_statement(space: FiniteGT, statement: str) -> StatementReport:
     if not space.is_strong:
         raise PreconditionError("statements are decided on strong spaces")
     if st in ("UL", "GUL"):
-        decide = decide_ul_pair if st == "UL" else decide_gul_pair
-        closeds = space.closeds
-        for i, a in enumerate(closeds):
-            for b in closeds[i:]:
-                if a & b:
-                    continue
-                if decide(space, a, b) is None:
-                    return StatementReport(st, False, pair=(a, b))
-        return StatementReport(st, True)
-    if space.n > 5:
-        raise ResourceError(
-            "extension statements are exhaustive; refusing above 5 points")
-    target = "taun" if st == "TET" else "gtaun"
-    xparts = _continuous_x_partitions(space, target)
-    xparts_unord = ({frozenset(q) for q in xparts} if target == "taun" else None)
+        pair = clopen_defect(space)
+        return StatementReport(st, pair is None, pair=pair)
+    check_extension_size(space.n)
+    structures, extends = ((_clopen_partitions, _extends_partition)
+                           if st == "TET" else
+                           (_clopen_chains, _extends_chain))
     for a in space.closeds:
-        trace_opens = frozenset(u & a for u in space.opens)
-        for part in _continuous_partitions(trace_opens, a, target):
-            if _extends(part, a, xparts, xparts_unord, target):
-                continue
-            return StatementReport(st, False,
-                                   counterexample=(a, _partition_values(part)))
+        traces = {u & a for u in space.opens}
+        # trace-clopens of the subspace a, descending: the counterexample is
+        # the first structure in lexicographic order of descending blocks
+        tclopens = sorted((c for c in traces if a ^ c in traces), reverse=True)
+        for part in structures(tclopens, a):
+            if not extends(space, a, part):
+                return StatementReport(st, False,
+                                       counterexample=(a, _partition_values(part)))
     return StatementReport(st, True)
 
 
-def _extends(part, a, xparts, xparts_unord, target) -> bool:
-    if target == "gtaun":
-        return any(tuple(q & a for q in qs if q & a) == part for qs in xparts)
-    want = frozenset(part)
-    return any(frozenset(q & a for q in qs if q & a) == want
-               for qs in xparts_unord)
+def check_extension_size(n: int) -> None:
+    """Refuse the extension statements above EXTENSION_MAX_POINTS points."""
+    if n > EXTENSION_MAX_POINTS:
+        raise ResourceError("extension statements are exhaustive; refusing "
+                            f"above {EXTENSION_MAX_POINTS} points")
+
+
+def _clopen_chains(clopens, region: int,
+                   prefix: int = 0) -> Iterator[tuple[int, ...]]:
+    """Ordered partitions of region whose prefix unions are among the given
+    clopens of region, blocks tried in the order of the clopens; these are
+    its gtaun-continuous fiber structures."""
+    if prefix == region:
+        yield ()
+        return
+    for c in clopens:
+        if c & prefix == prefix and c != prefix:
+            for rest in _clopen_chains(clopens, region, c):
+                yield (c ^ prefix, *rest)
+
+
+def _clopen_partitions(clopens, region: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of region into the given clopens, one per unordered
+    partition: the block holding the lowest remaining point comes first, and
+    blocks are tried in the order of the clopens.  On the clopens of region
+    these are its taun-continuous fiber structures."""
+    if region == 0:
+        yield ()
+        return
+    low = region & -region
+    for c in clopens:
+        if c & low and c & ~region == 0:
+            for rest in _clopen_partitions(clopens, region ^ c):
+                yield (c, *rest)
+
+
+def _extends_chain(space: FiniteGT, a: int, part: tuple[int, ...]) -> bool:
+    """Nested clopens D_1 <= ... <= D_{k-1} of the space with D_j & a the
+    j-th prefix union of part, i.e. a clopen chain tracing part on a."""
+    prefixes = list(accumulate(part, or_))[:-1]
+
+    def dfs(j: int, floor: int) -> bool:
+        if j == len(prefixes):
+            return True
+        return any(dfs(j + 1, d) for d in space.clopens
+                   if d & floor == floor and d & a == prefixes[j])
+
+    return dfs(0, 0)
+
+
+def _extends_partition(space: FiniteGT, a: int, part: tuple[int, ...]) -> bool:
+    """Disjoint clopens E_i of the space with E_i & a the i-th block of part
+    and union the whole space, i.e. a clopen partition tracing part on a."""
+    last = len(part) - 1
+
+    def dfs(i: int, used: int) -> bool:
+        if i == last:   # the rest is closed, as the complement of opens
+            return space.full ^ used in space.open_set
+        return any(dfs(i + 1, used | e) for e in space.clopens
+                   if e & used == 0 and e & a == part[i])
+
+    return not part or dfs(0, 0)
 
 
 def _partition_values(part: tuple[int, ...]) -> tuple[tuple[int, Fraction], ...]:
     """Canonical function realizing a fiber structure: block k gets value k."""
-    out = []
-    for k, m in enumerate(part):
-        p = 0
-        mm = m
-        while mm:
-            if mm & 1:
-                out.append((p, Fraction(k)))
-            mm >>= 1
-            p += 1
-    return tuple(sorted(out))
+    return tuple(sorted((p, Fraction(k)) for k, m in enumerate(part)
+                        for p in points_from_mask(m)))
 
 
 # ---------------------------------------------------------------- ladders
@@ -378,7 +324,7 @@ class PairLadder:
 
 
 def _check_indices(indices) -> list[Fraction]:
-    rs = [_as_fraction(r) for r in indices]
+    rs = [as_fraction(r) for r in indices]
     if len(set(rs)) != len(rs):
         raise InputError("ladder indices must be distinct")
     for r in rs:
@@ -389,14 +335,14 @@ def _check_indices(indices) -> list[Fraction]:
 
 def make_ladder(entries) -> Ladder:
     items = dict(entries).items() if isinstance(entries, dict) else list(entries)
-    pairs = [( _as_fraction(r), u) for r, u in items]
+    pairs = [(as_fraction(r), u) for r, u in items]
     _check_indices([r for r, _ in pairs])
     return Ladder(tuple(sorted(pairs)))
 
 
 def make_pair_ladder(entries) -> PairLadder:
     items = dict(entries).items() if isinstance(entries, dict) else list(entries)
-    pairs = [(_as_fraction(r), (u, f)) for r, (u, f) in items]
+    pairs = [(as_fraction(r), (u, f)) for r, (u, f) in items]
     _check_indices([r for r, _ in pairs])
     return PairLadder(tuple(sorted(pairs)))
 
@@ -512,7 +458,7 @@ def extend_ladder_step(space: FiniteGT, partial: Ladder, a: int, b: int,
     """Insert one rung at next_index: the canonically least open set that
     interpolates between the closure of the rung below (or a) and the rung
     above (or the complement of b)."""
-    r = _as_fraction(next_index)
+    r = as_fraction(next_index)
     if not 0 < r < 1:
         raise InputError(f"next index {r} outside (0,1)")
     if r in partial.indices:
@@ -560,10 +506,7 @@ def normality_defect(space: FiniteGT) -> Optional[tuple[int, int]]:
     closeds = space.closeds
     for i, a in enumerate(closeds):
         for b in closeds[i:]:
-            if a & b:
-                continue
-            if not any(a & ~u == 0 and b & ~v == 0 and not u & v
-                       for u in space.opens for v in space.opens):
+            if not a & b and _least_open_cover(space, a, b) is None:
                 return (a, b)
     return None
 
@@ -574,8 +517,6 @@ def effective_witness(space: FiniteGT) -> Optional[EffectiveWitness]:
     open cover.  Returns None when some pair cannot be covered."""
     if not space.is_strong:
         raise PreconditionError("effective witnesses need a strong space")
-    if normality_defect(space) is not None:
-        return None
     table = {}
     closeds = space.closeds
     for a in closeds:
@@ -587,18 +528,21 @@ def effective_witness(space: FiniteGT) -> Optional[EffectiveWitness]:
             elif b == 0:
                 table[(a, b)] = (space.full, 0)
             else:
-                table[(a, b)] = _least_open_cover(space, a, b)
+                cover = _least_open_cover(space, a, b)
+                if cover is None:
+                    return None
+                table[(a, b)] = cover
     return EffectiveWitness(table)
 
 
-def _least_open_cover(space, a, b) -> tuple[int, int]:
+def _least_open_cover(space, a, b) -> Optional[tuple[int, int]]:
     for u in space.opens:
         if a & ~u:
             continue
         for v in space.opens:
             if b & ~v == 0 and not u & v:
                 return (u, v)
-    raise PreconditionError("pair admits no disjoint open cover")
+    return None
 
 
 def combine_effective_witnesses(s1: FiniteGT, s2: FiniteGT,
@@ -797,7 +741,7 @@ def is_u_normal(space: FiniteGT, n_max: int = 3) -> UNormalReport:
 
 
 def _chain_family_exists(space: FiniteGT, a: int, b: int, n: int) -> bool:
-    if any(a & ~c == 0 and c & b == 0 for c in space.clopens):
+    if clopen_separator(space, a, b) is not None:
         return True
     if n == 0:
         return False

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -78,6 +79,20 @@ def test_props_reports(files):
     assert doc2["effectively_normal"] is False
     doc3 = run_json("props", files("p.json", PARTITION), "--u-normal-max", "2")
     assert doc3["u_normal"]["n_max"] == 2 and len(doc3["u_normal"]["per_n"]) == 3
+
+
+def test_props_refuses_large_space_up_front(files):
+    points = 10
+    doc = {"points": points,
+           "open_sets": [[p for p in range(points) if m >> p & 1]
+                         for m in range(1 << points)]}
+    path = files("discrete10.json", doc)
+    start = time.perf_counter()
+    proc = run_cli("props", path, expect=2)
+    assert time.perf_counter() - start < 10.0
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: extension statements are exhaustive; "
+                           "refusing above 5 points\n")
 
 
 def test_witness_positive(files):

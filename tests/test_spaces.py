@@ -1,8 +1,10 @@
+import operator
+
 import pytest
 
 from gtopo.errors import InputError, PreconditionError, ResourceError
 from gtopo.spaces import (
-    FiniteGT, canonical_key, census_count, close_under_union, closure,
+    FiniteGT, canonical_key, census_count, close_under, closure,
     enumerate_strong_gts, generated_topology, interior, make_space,
     mask_from_points, parse_space_dict, points_from_mask, product,
     sample_strong_gts, separation_profile, space_to_dict, subspace,
@@ -296,5 +298,6 @@ def test_point_index_type_and_range_messages():
 
 
 def test_close_under_union():
-    fam = close_under_union([0b001, 0b010])
+    fam = close_under([0b001, 0b010])
     assert fam == {0b001, 0b010, 0b011}
+    assert close_under([0b011, 0b110], operator.and_) == {0b011, 0b110, 0b010}

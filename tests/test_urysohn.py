@@ -2,13 +2,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtopo.errors import (
     InputError, NoExtension, PreconditionError, ResourceError,
 )
 from gtopo.spaces import (
-    closure, enumerate_strong_gts, interior, make_space, mask_from_points,
-    product, sample_strong_gts, separation_profile,
+    FiniteGT, canonical_family, close_under, closure, enumerate_strong_gts,
+    interior, make_space, mask_from_points, product, sample_strong_gts,
+    separation_profile,
 )
 from gtopo.urysohn import (
     EMPTY_U_FAMILY, FiniteFunction, Ladder, PairLadder, UFamily,
@@ -16,11 +19,12 @@ from gtopo.urysohn import (
     constant_function, decide_gul_pair, decide_statement, decide_ul_pair,
     effective_witness, extend_ladder_step, extend_u_family,
     function_from_ladder, is_u_normal, ladder_from_function, make_function,
-    make_ladder, make_pair_ladder, normality_defect, ordered_partitions,
-    set_partitions, validate_u_family,
+    make_ladder, make_pair_ladder, normality_defect, validate_u_family,
 )
 
 from continuity_oracle import oracle_continuous_gtaun, oracle_continuous_taun
+from statement_oracle import (extension_report, ordered_partitions,
+                              set_partitions, ul_witness)
 
 
 def m(*points, n=None):
@@ -251,6 +255,41 @@ def test_statement_errors():
     big = make_space(6, [0, (1 << 6) - 1])
     with pytest.raises(ResourceError):
         decide_statement(big, "TET")
+
+
+# ---------------------------------------------------------------- oracles
+
+@st.composite
+def strong_gts(draw, max_points=5):
+    """A random generator family on at most max_points points, closed under
+    union together with the empty and the full set."""
+    n = draw(st.integers(0, max_points))
+    full = (1 << n) - 1
+    gens = draw(st.lists(st.integers(0, full), max_size=8))
+    return FiniteGT(n, canonical_family(close_under([0, full, *gens])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=strong_gts())
+def test_extension_reports_match_oracle(s):
+    for st_name in ("TET", "GTET"):
+        assert decide_statement(s, st_name) == extension_report(s, st_name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=strong_gts())
+def test_ul_pair_matches_oracle_witness(s):
+    for a in s.closeds:
+        for b in s.closeds:
+            if not a & b:
+                assert decide_ul_pair(s, a, b) == ul_witness(s, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=strong_gts())
+def test_normality_routes_agree(s):
+    assert (separation_profile(s).normal == (normality_defect(s) is None)
+            == decide_statement(s, "GUL").holds)
 
 
 # ---------------------------------------------------------------- ladders
