@@ -20,7 +20,8 @@ import sys
 import time
 
 from .errors import InputError, NoExtension, PreconditionError, ResourceError
-from .expressions import format_map, format_set, parse_map, parse_set
+from .expressions import (format_map, format_rational, format_set, parse_map,
+                          parse_set)
 from .realline import (check_continuity_sym, classify, closure_sym,
                        disjoint_open_triple, effective_F, gul_witness,
                        ladder_from_F, tietze_extend)
@@ -28,13 +29,13 @@ from .spaces import (canonical_family, enumerate_strong_gts,
                      generated_topology, make_space, mask_from_points,
                      parse_space_dict, points_from_mask, product,
                      separation_profile, space_to_dict, validate_gt)
-from .urysohn import (STATEMENTS, check_extension_size, decide_gul_pair,
-                      decide_statement, decide_ul_pair, effective_witness,
-                      is_u_normal)
+from .urysohn import (STATEMENTS, check_extension_size, check_u_normal_length,
+                      decide_gul_pair, decide_statement, decide_ul_pair,
+                      effective_witness, is_u_normal)
 
 
 def fmt_q(v) -> str:
-    return f"{v.numerator}/{v.denominator}"
+    return f"{format_rational(v.numerator)}/{format_rational(v.denominator)}"
 
 
 def _load_doc(path: str):
@@ -78,6 +79,7 @@ def _run_validate(args):
 
 
 def _run_props(args):
+    check_u_normal_length(args.u_normal_max)
     space = _space_from_file(args.file)
     check_extension_size(space.n)   # TET/GTET would refuse; refuse up front
     prof = separation_profile(space)

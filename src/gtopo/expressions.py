@@ -12,13 +12,14 @@ Maps:  semicolon-separated clauses, in any order:
        in which case that common limit is the value.
 
 parse_* raise ExprError with the offending position; format_* emit text the
-parsers accept, and parse(format(x)) == x.
+parsers accept, and parse(format(x)) == x.  A number past CPython's limit on
+int-to-string conversion is refused with ResourceError, not printed.
 """
 
 import re
 from fractions import Fraction
 
-from .errors import ExprError
+from .errors import ExprError, ResourceError
 from .pwmaps import PiecewiseMap, make_pwmap
 from .symsets import ALL_REALS, EMPTY_SET, Interval, SymbolicSet, make_set
 
@@ -156,9 +157,29 @@ def parse_set(text: str) -> SymbolicSet:
     return result
 
 
+def _digit_count(n: int) -> int:
+    """Decimal digits of n, counted without converting n to a string."""
+    n = abs(n)
+    k = max(1, n.bit_length() * 30102 // 100000)   # 0.30102 < log10(2)
+    while n >= 10 ** k:
+        k += 1
+    return k
+
+
+def format_rational(q) -> str:
+    """str(q) for an int or a Fraction; ResourceError, naming the digit
+    count, when a part of q is too long to convert."""
+    try:
+        return str(q)
+    except ValueError:          # CPython's limit on int-to-string digits
+        digits = max(_digit_count(q.numerator), _digit_count(q.denominator))
+        raise ResourceError(f"number too long to print ({digits} digits)"
+                            ) from None
+
+
 def format_interval(iv: Interval) -> str:
-    lo = "-inf" if iv.lo is None else str(iv.lo)
-    hi = "inf" if iv.hi is None else str(iv.hi)
+    lo = "-inf" if iv.lo is None else format_rational(iv.lo)
+    hi = "inf" if iv.hi is None else format_rational(iv.hi)
     return (("[" if iv.lo_closed else "(") + lo + ","
             + hi + ("]" if iv.hi_closed else ")"))
 
@@ -251,7 +272,9 @@ def format_map(f: PiecewiseMap) -> str:
         lo, hi = f.piece_interval(k)
         iv = format_interval(Interval(lo, hi, False, False))
         sign, mag = ("-", -t) if t < 0 else ("+", t)
-        parts.append(f"on {iv}: {m}*x{sign}{mag}")
+        parts.append(f"on {iv}: {format_rational(m)}*x{sign}"
+                     f"{format_rational(mag)}")
         if k < len(f.breakpoints):
-            parts.append(f"at {f.breakpoints[k]}: {f.values[k]}")
+            parts.append(f"at {format_rational(f.breakpoints[k])}: "
+                         f"{format_rational(f.values[k])}")
     return "; ".join(parts)

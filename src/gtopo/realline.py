@@ -20,10 +20,10 @@ Continuity targets:
 * gtaun: the ray GT itself; continuity means every ray preimage is open in
   the source.
 
-Both quantifiers are discharged by critical-value analysis: a preimage's
-shape can only change when the window endpoint crosses one of finitely many
-values attained at breakpoints or piece-end limits, so checking those values
-plus representatives between them decides the full quantifier exactly.
+Both quantifiers are decided exactly, and without sweeping windows: taun
+continuity is read off the image (no three nonempty opens of the line are
+pairwise disjoint), gtaun continuity off one ray per critical value and per
+region between them, and Tietze extension off the frozen extension itself.
 """
 
 from bisect import bisect_left, bisect_right
@@ -34,7 +34,8 @@ from .errors import InputError, PreconditionError, ResourceError
 from .pwmaps import PiecewiseMap, constant_map, make_pwmap
 from .rationals import dyadic_neighbors, first_in_interval
 from .symsets import (ALL_REALS, EMPTY_SET, Interval, SymbolicSet, above,
-                      below, make_set)
+                      below)
+from .symsets import make_set  # noqa: F401  (bench/tracing.py patches it here)
 
 SPACES = ("gtn", "gts")
 TARGETS = ("taun", "gtaun")
@@ -156,75 +157,56 @@ def gul_witness(a: SymbolicSet, b: SymbolicSet, space: str) -> PiecewiseMap:
 
 # --- continuity -------------------------------------------------------------
 
-def _probe_values(f: PiecewiseMap, extra=()) -> list[Fraction]:
-    """Critical values plus two representatives inside every induced region."""
-    crit = sorted(set(f.criticals()) | set(extra))
+def _probe_values(f: PiecewiseMap) -> list[Fraction]:
+    """Critical values plus one representative inside every induced region."""
+    crit = f.criticals()
     if not crit:
-        return [Fraction(0), Fraction(1)]
-    out = [crit[0] - 2, crit[0] - 1]
+        return [Fraction(0)]
+    out = [crit[0] - 1]
     for c1, c2 in zip(crit, crit[1:]):
-        step = (c2 - c1) / 4
-        out.extend([c1, c1 + step, c1 + 2 * step])
-    out.extend([crit[-1], crit[-1] + 1, crit[-1] + 2])
+        out.extend([c1, (c1 + c2) / 2])
+    out.extend([crit[-1], crit[-1] + 1])
     return out
 
 
-def _windows(params, target):
-    if target == "gtaun":
-        for q in params:
-            yield None, q
-            yield q, None
-    else:
-        for i, p in enumerate(params):
-            for q in params[i + 1:]:
-                yield p, q
+def _window_continuous(f: PiecewiseMap, source: str) -> bool:
+    values = f.image().components
+    if len(values) > 2 or not all(c.is_singleton for c in values):
+        return False
+    if len(values) == 1:
+        return True
+    lo, hi = values[0].lo, values[1].lo
+    mid = (lo + hi) / 2
+    return (_is_open_form(f.preimage_open(lo - 1, mid), source)
+            and _is_open_form(f.preimage_open(mid, hi + 1), source))
 
 
 def check_continuity_sym(f: PiecewiseMap, source: str, target: str) -> bool:
+    """Is f continuous from the source GT into the target?
+
+    taun (two-ends lemma): every nonempty open of gtn or gts holds a ray to
+    −∞ or to +∞, so no three of them are pairwise disjoint.  If f takes
+    three values, three disjoint windows around them have disjoint nonempty
+    preimages, and f is not continuous.  With at most two values a window
+    preimage is ∅, ℝ or a fiber, so f is continuous exactly when the window
+    preimage of each fiber is open.
+
+    gtaun (one probe per region): as the end q of a ray moves between two
+    consecutive critical values, each piece's solution set moves without
+    appearing, vanishing, merging or changing which ends it holds, so the
+    ray preimage keeps one shape, and being open depends only on the shape.
+    The critical values and one q between each pair of them (and one beyond
+    each end) therefore decide every ray.
+    """
     _check_space(source)
     _check_target(target)
+    if target == "taun":
+        return _window_continuous(f, source)
     return all(_is_open_form(f.preimage_open(lo, hi), source)
-               for lo, hi in _windows(_probe_values(f), target))
+               for q in _probe_values(f) for lo, hi in ((None, q), (q, None)))
 
 
 # --- Tietze-style extension off a closed set --------------------------------
-
-def _anchored_extension(t: SymbolicSet, p: SymbolicSet):
-    """Candidate gtn-open whose trace on p could be t (verified by caller)."""
-    P = p.components[0]
-    rays = []
-    for c in t.components:
-        left = c.lo == P.lo and c.lo_closed == P.lo_closed
-        right = c.hi == P.hi and c.hi_closed == P.hi_closed
-        if left and c.hi is not None:
-            rays.append(Interval(None, c.hi, False, False))
-        elif right and c.lo is not None:
-            rays.append(Interval(c.lo, None, False, False))
-        else:
-            return None
-    return make_set(rays)
-
-
-def _is_trace_open(t: SymbolicSet, p: SymbolicSet) -> bool:
-    """Is t the trace on p of some gtn-open set?"""
-    if t.is_empty or t == p:
-        return True
-    u = _anchored_extension(t, p)
-    return u is not None and u.intersection(p) == t
-
-
-def _subspace_continuous(p: SymbolicSet, f: PiecewiseMap, target: str) -> bool:
-    """Continuity of f from the trace GT on p into the chosen target.
-
-    The probe set is widened by f's values at p's finite endpoints: the trace
-    shape can also change when a preimage boundary crosses an end of p.
-    """
-    ends = [e for e in (p.components[0].lo, p.components[0].hi)
-            if e is not None]
-    params = _probe_values(f, extra=[f.value_at(e) for e in ends])
-    return all(_is_trace_open(f.preimage_open(lo, hi).intersection(p), p)
-               for lo, hi in _windows(params, target))
-
 
 def _slice_between(f: PiecewiseMap, lo, hi):
     """Breakpoints of f strictly inside (lo, hi), their values, and the
@@ -236,7 +218,16 @@ def _slice_between(f: PiecewiseMap, lo, hi):
 
 
 def tietze_extend(p: SymbolicSet, f: PiecewiseMap, target: str) -> PiecewiseMap:
-    """Extend f off the closed set p by freezing the boundary values."""
+    """Extend f off the closed set p by freezing the boundary values.
+
+    The frozen map g is f on p and f's value at an end of p beyond that end.
+    For a target open W, g⁻¹(W) is the trace preimage f⁻¹(W) ∩ p plus a whole
+    outer side exactly when that trace holds the end of p on that side.
+    Adding those sides maps the trace-open forms of p one-to-one onto the
+    gtn-open forms (∅, p, [a,c), (c,b], [a,c) ∪ (d,b] onto ∅, ℝ, (−∞,c),
+    (c,∞), (−∞,c) ∪ (d,∞)), and restricting g to p gives f back.  So f is
+    continuous on the subspace p exactly when g is continuous on gtn, and
+    the extension is accepted exactly then."""
     _check_target(target)
     if not _is_closed_form(p, "gtn"):
         raise PreconditionError("p is not closed in gtn")
@@ -245,24 +236,25 @@ def tietze_extend(p: SymbolicSet, f: PiecewiseMap, target: str) -> PiecewiseMap:
     c = p.components[0]
     if c.is_singleton:
         raise PreconditionError("singleton domains are not handled")
-    if not _subspace_continuous(p, f, target):
-        raise PreconditionError(
-            f"f is not {target}-continuous on the subspace p")
     zero = Fraction(0)
     if c.lo is not None and c.hi is not None:
         fa, fb = f.value_at(c.lo), f.value_at(c.hi)
         bps, vals, pieces = _slice_between(f, c.lo, c.hi)
-        return PiecewiseMap((c.lo,) + bps + (c.hi,),
-                            ((zero, fa),) + pieces + ((zero, fb),),
-                            (fa,) + vals + (fb,))
-    if c.lo is None:                       # p = (-inf, a]
+        g = PiecewiseMap((c.lo,) + bps + (c.hi,),
+                         ((zero, fa),) + pieces + ((zero, fb),),
+                         (fa,) + vals + (fb,))
+    elif c.lo is None:                     # p = (-inf, a]
         fa = f.value_at(c.hi)
         bps, vals, pieces = _slice_between(f, None, c.hi)
-        return PiecewiseMap(bps + (c.hi,), pieces + ((zero, fa),),
-                            vals + (fa,))
-    fb = f.value_at(c.lo)                  # p = [b, inf)
-    bps, vals, pieces = _slice_between(f, c.lo, None)
-    return PiecewiseMap((c.lo,) + bps, ((zero, fb),) + pieces, (fb,) + vals)
+        g = PiecewiseMap(bps + (c.hi,), pieces + ((zero, fa),), vals + (fa,))
+    else:                                  # p = [b, inf)
+        fb = f.value_at(c.lo)
+        bps, vals, pieces = _slice_between(f, c.lo, None)
+        g = PiecewiseMap((c.lo,) + bps, ((zero, fb),) + pieces, (fb,) + vals)
+    if not check_continuity_sym(g, "gtn", target):
+        raise PreconditionError(
+            f"f is not {target}-continuous on the subspace p")
+    return g
 
 
 # --- image, connectedness, and the three-open-set obstruction ---------------

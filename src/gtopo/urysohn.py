@@ -37,6 +37,10 @@ TARGETS = ("taun", "gtaun")
 # points the work is refused up front.
 EXTENSION_MAX_POINTS = 5
 
+# is_u_normal decides and reports every chain length up to n_max, so its time
+# and output grow linearly with n_max; larger bounds are refused up front.
+U_NORMAL_MAX_LENGTH = 64
+
 
 def _check_target(target: str) -> None:
     if target not in TARGETS:
@@ -228,6 +232,13 @@ def check_extension_size(n: int) -> None:
     if n > EXTENSION_MAX_POINTS:
         raise ResourceError("extension statements are exhaustive; refusing "
                             f"above {EXTENSION_MAX_POINTS} points")
+
+
+def check_u_normal_length(n_max: int) -> None:
+    """Refuse chain-normality bounds above U_NORMAL_MAX_LENGTH."""
+    if n_max > U_NORMAL_MAX_LENGTH:
+        raise ResourceError(f"u-normal length bound {n_max} is above "
+                            f"{U_NORMAL_MAX_LENGTH}; refusing")
 
 
 def _clopen_chains(clopens, region: int,
@@ -723,6 +734,7 @@ def is_u_normal(space: FiniteGT, n_max: int = 3) -> UNormalReport:
         raise PreconditionError("chain normality needs a strong space")
     if n_max < 0:
         raise InputError("n_max must be >= 0")
+    check_u_normal_length(n_max)
     pairs = [(x, y) for x in space.closeds for y in space.closeds
              if x and y and not x & y]
     per_n = []

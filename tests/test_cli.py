@@ -95,6 +95,16 @@ def test_props_refuses_large_space_up_front(files):
                            "refusing above 5 points\n")
 
 
+def test_props_refuses_long_u_normal_bound(files):
+    path = files("p.json", PARTITION)
+    proc = run_cli("props", path, "--u-normal-max", "65", expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr == "error: u-normal length bound 65 is above 64; refusing\n"
+    doc = run_json("props", path, "--u-normal-max", "64")
+    assert doc["u_normal"]["n_max"] == 64
+    assert doc["u_normal"]["per_n"] == [True] * 65
+
+
 def test_witness_positive(files):
     doc = run_json("witness", files("p.json", PARTITION),
                    "--a", "[0,1]", "--b", "[2,3]", "--mode", "gul")
@@ -287,6 +297,15 @@ def test_over_long_literals_exit_2(files, tmp_path):
                    "--b", "[1]", "--mode", "gul", expect=2)
     assert "bad point set for --a" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_numbers_too_long_to_print_exit_2():
+    n = "1" + "0" * 2500                  # parses; n * n has 5001 digits
+    proc = run_cli("real", "extend", "--p", f"[0,{n}]",
+                   "--fn", f"on (-inf,inf): {n}*x+0", "--target", "gtaun",
+                   expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr == "error: number too long to print (5001 digits)\n"
 
 
 def test_float_point_index_exit_2(files):

@@ -5,8 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from gtopo.errors import ExprError
-from gtopo.expressions import format_map, format_set, parse_map, parse_set
+from gtopo.cli import fmt_q
+from gtopo.errors import ExprError, ResourceError
+from gtopo.expressions import (format_map, format_rational, format_set,
+                               parse_map, parse_set)
 from gtopo.pwmaps import constant_map, make_pwmap
 from gtopo.symsets import ALL_REALS, EMPTY_SET, below, interval, point
 from test_pwmaps import RAMP, rand_map
@@ -100,3 +102,28 @@ def test_format_map_emits_all_at_clauses():
     f = make_pwmap((0,), ((1, 0), (2, 0)), (0,))
     assert "at 0: 0" in format_map(f)
     assert parse_map(format_map(f)) == f
+
+
+def test_format_refuses_numbers_too_long_to_print():
+    # CPython converts at most 4,300 digits; 10**4300 has 4,301
+    assert format_rational(F(10 ** 4300 - 1, 7)) == str(F(10 ** 4300 - 1, 7))
+    cases = [(lambda: format_rational(10 ** 4300), 4301),
+             (lambda: format_rational(F(-1, 10 ** 4301 + 7)), 4302),
+             (lambda: format_set(interval(0, 10 ** 5000, True, True)), 5001),
+             (lambda: format_map(constant_map(-10 ** 6000)), 6001),
+             (lambda: fmt_q(F(3, 10 ** 4400)), 4401)]
+    for call, digits in cases:
+        with pytest.raises(ResourceError) as exc:
+            call()
+        assert str(exc.value) == f"number too long to print ({digits} digits)"
+
+
+def test_digit_count_of_refused_numbers():
+    # n in [10**k, 10**(k+1)) has k+1 digits
+    rng = random.Random(4300)
+    for _ in range(40):
+        k = rng.randrange(4300, 4400)
+        for n in (10 ** k, 10 ** (k + 1) - 1, rng.randrange(10 ** k, 10 ** (k + 1))):
+            with pytest.raises(ResourceError) as exc:
+                format_rational(rng.choice([1, -1]) * n)
+            assert str(exc.value) == f"number too long to print ({k + 1} digits)"

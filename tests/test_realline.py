@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gtopo.realline as realline
 from gtopo.errors import InputError, PreconditionError, ResourceError
@@ -16,8 +18,9 @@ from gtopo.realline import (LiftedWitness, OpenTriple, SymbolicWitness,
                             product_gul_witness, tietze_extend)
 from gtopo.symsets import (ALL_REALS, EMPTY_SET, Interval, above, below,
                            interval, make_set, point)
+from continuity_oracle import sweep_continuous, trace_extend
 from effective_f_oracle import scan_effective_F, scan_split_point
-from test_pwmaps import RAMP, STEP, rand_map
+from test_pwmaps import POOL, RAMP, STEP, rand_map
 from test_symsets import rand_set
 
 S = parse_set
@@ -54,6 +57,52 @@ def rand_monotone_continuous(rng):
         m = slopes[i + 1]
         pieces.append((m, v - m * b))
     return make_pwmap(bps, pieces, vals)
+
+
+def rand_step_map(rng):
+    """Flat outer pieces and one to four breakpoints in -4..4; each inner
+    piece is flat or ramps between two levels in -2..2, and each breakpoint
+    takes a side's limit or a fresh level.  Few levels make ramp ends meet
+    steps, where a ray preimage can change shape inside a region only."""
+    k = rng.randrange(1, 5)
+    bps = sorted(rng.sample([F(n) for n in range(-4, 5)], k))
+
+    def level():
+        return F(rng.randrange(-2, 3))
+    pieces = [(F(0), level())]
+    for b1, b2 in zip(bps, bps[1:]):
+        l1 = level()
+        l2 = rng.choice([l1, level()])
+        m = (l2 - l1) / (b2 - b1)
+        pieces.append((m, l1 - m * b1))
+    pieces.append((F(0), level()))
+    vals = [rng.choice([m1 * b + t1, m2 * b + t2, level()])
+            for b, (m1, t1), (m2, t2) in zip(bps, pieces, pieces[1:])]
+    return make_pwmap(bps, pieces, vals)
+
+
+def continuity_corpus(seed, rounds):
+    """Random, monotone, step and constant maps, one of each per round."""
+    rng = random.Random(seed)
+    maps = []
+    for _ in range(rounds):
+        maps += [rand_map(rng), rand_monotone_continuous(rng),
+                 rand_step_map(rng),
+                 constant_map(F(rng.randrange(-3, 4), rng.randrange(1, 4)))]
+    return maps
+
+
+PAIRS = [(s, t) for s in ("gtn", "gts") for t in ("taun", "gtaun")]
+TIETZE_DOMAINS = [S(p) for p in ("[-2,3]", "[0,1]", "[-1/2,5/2]", "(-inf,1]",
+                                 "(-inf,-1]", "[-1,inf)", "[2,inf)")]
+
+
+def _extension_outcome(extend, p, f, target):
+    """The extension, or the rejection message."""
+    try:
+        return extend(p, f, target)
+    except PreconditionError as e:
+        return str(e)
 
 
 # --- classify ----------------------------------------------------------------
@@ -266,6 +315,70 @@ def test_no_window_continuous_separator_exists():
         assert not check_continuity_sym(f, "gtn", "taun")
 
 
+@pytest.mark.parametrize("source,target", PAIRS)
+def test_continuity_matches_window_sweep(source, target):
+    verdicts = []
+    for f in continuity_corpus(40417, 150):
+        got = check_continuity_sym(f, source, target)
+        assert got == sweep_continuous(f, source, target), (f, source, target)
+        verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
+# gtaun verdicts that only one kind of probe sees: a ray end inside a
+# region, below every critical value, or above every critical value.
+PROBE_CASES = [
+    # -1, then x/2 rising from -2 to -1 on (-4,-2), then -2 from -2 on
+    (make_pwmap((-4, -2), ((0, -1), (F(1, 2), 0), (0, -2)), (-1, -2)),
+     (None, F(-3, 2)), "(-4,-3) | [-2,inf)"),
+    # a peak of -1 at 4: the rays above every value pull back bounded
+    (make_pwmap((4,), ((F(1, 2), -3), (-1, 3)), (-1,)),
+     (F(-2), None), "(2,5)"),
+    # a valley of 1 at 4
+    (make_pwmap((4,), ((F(-1, 2), 3), (1, -3)), (1,)),
+     (None, F(2)), "(2,5)"),
+]
+
+
+@pytest.mark.parametrize("f,window,shown", PROBE_CASES)
+def test_gtaun_probes_every_region(f, window, shown):
+    assert f.preimage_open(*window) == S(shown)
+    for source in ("gtn", "gts"):
+        for q in f.criticals():
+            for lo, hi in ((None, q), (q, None)):
+                assert classify(f.preimage_open(lo, hi), source) in (
+                    "open", "clopen")
+        assert not check_continuity_sym(f, source, "gtaun")
+        assert not sweep_continuous(f, source, "gtaun")
+
+
+@st.composite
+def small_maps(draw):
+    """Up to three breakpoints from -3..3, slopes, intercepts and values in
+    -2..2, with flat pieces and classical continuity drawn often."""
+    bps = draw(st.lists(st.sampled_from(POOL), max_size=3, unique=True))
+    bps.sort()
+    ints = st.integers(-2, 2).map(F)
+    slopes = st.one_of(st.just(F(0)), ints)
+    pieces = [(draw(slopes), draw(ints)) for _ in range(len(bps) + 1)]
+    values = []
+    for i, b in enumerate(bps):
+        left = pieces[i][0] * b + pieces[i][1]
+        values.append(draw(st.one_of(st.just(left), ints)))
+    return make_pwmap(bps, pieces, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=small_maps(), p=st.sampled_from(TIETZE_DOMAINS))
+def test_continuity_and_extension_match_oracles(f, p):
+    for source, target in PAIRS:
+        assert check_continuity_sym(f, source, target) \
+            == sweep_continuous(f, source, target)
+    for target in ("taun", "gtaun"):
+        assert _extension_outcome(tietze_extend, p, f, target) \
+            == _extension_outcome(trace_extend, p, f, target)
+
+
 # --- tietze ------------------------------------------------------------------
 
 def test_tietze_bounded_interval():
@@ -327,6 +440,22 @@ def test_tietze_seeded_sweep():
         ext2 = tietze_extend(p, const, "taun")
         assert ext2.equals_on(const, ALL_REALS)
         assert check_continuity_sym(ext2, "gtn", "taun")
+
+
+def test_tietze_matches_trace_decider():
+    seen = set()
+    domains = TIETZE_DOMAINS + [S("[1,1]"), S("(0,1]"), S("(0,1)"), ALL_REALS]
+    for f in continuity_corpus(52001, 40):
+        for p in domains:
+            for target in ("taun", "gtaun"):
+                got = _extension_outcome(tietze_extend, p, f, target)
+                assert got == _extension_outcome(trace_extend, p, f, target)
+                seen.add(got if isinstance(got, str) else "extended")
+    assert seen == {"extended", "p is not closed in gtn",
+                    "p must be a proper nonempty closed set",
+                    "singleton domains are not handled",
+                    "f is not taun-continuous on the subspace p",
+                    "f is not gtaun-continuous on the subspace p"}
 
 
 # --- image / triple ----------------------------------------------------------
