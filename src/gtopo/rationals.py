@@ -9,22 +9,18 @@ Three deterministic streams, all in exact Fraction arithmetic:
 * an enumeration of Q within (0,1): reduced fractions by denominator, then
   numerator.
 
-RationalEnumeration wraps a stream with an index cache so procedures can
-speak of "the least index whose value satisfies P" and replay byte-identically
-across runs.
-
-first_in_interval answers that question in closed form when P is membership
-in an interval: the Calkin-Wilf and Stern-Brocot trees share their rows, so
-the first term of enum_all_rationals() inside a convex set is 0 or the
-set's unique shallowest Stern-Brocot node (with its sign), found by a
-continued-fraction descent without walking the stream.
+first_in_interval finds the first term of enum_all_rationals() inside an
+interval in closed form: the Calkin-Wilf and Stern-Brocot trees share their
+rows, so that term is 0 or the set's unique shallowest Stern-Brocot node
+(with its sign), found by a continued-fraction descent without walking the
+stream.
 """
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .errors import InputError, ResourceError
+from .errors import InputError
 
 
 def calkin_wilf() -> Iterator[Fraction]:
@@ -56,53 +52,6 @@ def enum_unit_rationals() -> Iterator[Fraction]:
             if math.gcd(num, den) == 1:
                 yield Fraction(num, den)
         den += 1
-
-
-class RationalEnumeration:
-    """An indexed rational stream with a growable cache.
-
-    value_at(i) is total for i >= 0.  scan(pred) returns the least
-    (index, value) with pred(value) true; the cap turns a runaway scan into
-    a ResourceError instead of a hang.
-    """
-
-    def __init__(self, factory: Callable[[], Iterator[Fraction]],
-                 name: str, cap: int = 1_000_000):
-        self._iter = factory()
-        self._cache: list[Fraction] = []
-        self.name = name
-        self.cap = cap
-
-    def _grow_to(self, n: int) -> None:
-        if n > self.cap:
-            raise ResourceError(
-                f"enumeration {self.name}: refusing to materialize more than "
-                f"{self.cap} terms")
-        while len(self._cache) < n:
-            self._cache.append(next(self._iter))
-
-    def value_at(self, i: int) -> Fraction:
-        if i < 0:
-            raise InputError(f"enumeration index must be >= 0, got {i}")
-        self._grow_to(i + 1)
-        return self._cache[i]
-
-    def prefix(self, n: int) -> list[Fraction]:
-        self._grow_to(n)
-        return self._cache[:n]
-
-    def scan(self, pred: Callable[[Fraction], bool]) -> tuple[int, Fraction]:
-        """Least (index, value) with pred(value), in stream order."""
-        i = 0
-        while True:
-            q = self.value_at(i)
-            if pred(q):
-                return i, q
-            i += 1
-
-    def index_of(self, q: Fraction) -> int:
-        i, _ = self.scan(lambda v: v == q)
-        return i
 
 
 def _simplest_positive(lo: Fraction, lo_closed: bool, hi, hi_closed: bool):
@@ -151,14 +100,6 @@ def first_in_interval(lo, lo_closed: bool, hi, hi_closed: bool):
         return -_simplest_positive(-hi, hi_closed,
                                    None if lo is None else -lo, lo_closed)
     return Fraction(0)
-
-
-def all_rationals() -> RationalEnumeration:
-    return RationalEnumeration(enum_all_rationals, "Q")
-
-
-def unit_rationals() -> RationalEnumeration:
-    return RationalEnumeration(enum_unit_rationals, "Q(0,1)")
 
 
 def is_dyadic_unit(r: Fraction) -> bool:

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .errors import InputError, PreconditionError, ResourceError
 from .pwmaps import PiecewiseMap, constant_map, make_pwmap
-from .rationals import dyadic_neighbors, first_in_interval
+from .rationals import dyadic_neighbors, dyadics_by_level, first_in_interval
 from .symsets import (ALL_REALS, EMPTY_SET, Interval, SymbolicSet, above,
                       below)
 from .symsets import make_set  # noqa: F401  (bench/tracing.py patches it here)
@@ -375,13 +375,11 @@ def ladder_from_F(a: SymbolicSet, b: SymbolicSet, space: str,
     if a.is_empty or b.is_empty:
         raise PreconditionError("a and b must both be nonempty")
     rungs: dict[Fraction, SymbolicSet] = {}
-    for lev in range(1, level + 1):
-        for j in range(1, 2 ** lev, 2):
-            r = Fraction(j, 2 ** lev)
-            lo_n, hi_n = dyadic_neighbors(r)
-            lower = closure_sym(rungs[lo_n], space) if lo_n in rungs else a
-            upper = rungs[hi_n].complement() if hi_n in rungs else b
-            rungs[r] = effective_F(lower, upper, space).u
+    for r in dyadics_by_level(level):
+        lo_n, hi_n = dyadic_neighbors(r)
+        lower = closure_sym(rungs[lo_n], space) if lo_n in rungs else a
+        upper = rungs[hi_n].complement() if hi_n in rungs else b
+        rungs[r] = effective_F(lower, upper, space).u
     return SymbolicLadder(tuple(sorted(rungs.items())))
 
 

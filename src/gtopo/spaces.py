@@ -264,13 +264,13 @@ def product(s1: FiniteGT, s2: FiniteGT) -> FiniteGT:
     if not (s1.is_strong and s2.is_strong):
         raise PreconditionError("product requires strong factors")
     n = s1.n * s2.n
-    rows = {u: _stretch_rows(u, s1.n, s2.n) for u in s1.opens}
-    cols = {v: _stretch_cols(v, s1.n, s2.n) for v in s2.opens}
+    rows = {u: stretch_rows(u, s1.n, s2.n) for u in s1.opens}
+    cols = {v: stretch_cols(v, s1.n, s2.n) for v in s2.opens}
     opens = {rows[u] | cols[v] for u in s1.opens for v in s2.opens}
     return FiniteGT(n, canonical_family(opens))
 
 
-def _stretch_rows(u: int, n1: int, n2: int) -> int:
+def stretch_rows(u: int, n1: int, n2: int) -> int:
     row = (1 << n2) - 1
     m = 0
     for p in points_from_mask(u):
@@ -278,7 +278,7 @@ def _stretch_rows(u: int, n1: int, n2: int) -> int:
     return m
 
 
-def _stretch_cols(v: int, n1: int, n2: int) -> int:
+def stretch_cols(v: int, n1: int, n2: int) -> int:
     m = 0
     for q in points_from_mask(v):
         for p in range(n1):
@@ -286,8 +286,16 @@ def _stretch_cols(v: int, n1: int, n2: int) -> int:
     return m
 
 
-def pair_point(x1: int, x2: int, n2: int) -> int:
-    return x1 * n2 + x2
+def rect_factors(m: int, n1: int, n2: int) -> tuple[int, int]:
+    """Row and column projections of a point-set of the product layout."""
+    rows = 0
+    cols = 0
+    for x in range(n1):
+        for y in range(n2):
+            if m >> (x * n2 + y) & 1:
+                rows |= 1 << x
+                cols |= 1 << y
+    return rows, cols
 
 
 def generated_topology(space: FiniteGT) -> FiniteGT:

@@ -16,6 +16,13 @@ the statements collapse onto clopens:
   at a clopen set, so normality, UL and GUL are clopen separation;
 - a `taun`-continuous fiber structure is a partition into clopens;
 - a `gtaun`-continuous fiber structure is a strict chain of clopens.
+
+Chain normality rests on the same kernel.  A pair with a clopen separator c
+has the family (c, c), ..., (c, c) of every length; a pair without one
+needs a strictly rising chain a < U_0 < F_0 < ... < F_n < X-b < X, hence
+2n+5 points, for a family of n+1 pairs, so the chain-family search runs
+only on the pairs with no clopen separator and only where such a chain fits
+(never on 6 points or fewer).
 """
 
 from dataclasses import dataclass
@@ -26,9 +33,10 @@ from operator import or_
 from typing import Iterable, Iterator, Optional
 
 from .errors import InputError, NoExtension, PreconditionError, ResourceError
-from .rationals import dyadics_by_level, unit_rationals
+from .rationals import dyadics_by_level, enum_unit_rationals
 from .spaces import (FiniteGT, canonical_key, clopen_defect, clopen_separator,
-                     closure, fmt_mask, points_from_mask)
+                     closure, fmt_mask, points_from_mask, product,
+                     rect_factors, stretch_cols, stretch_rows)
 from .symsets import as_fraction
 
 TARGETS = ("taun", "gtaun")
@@ -562,35 +570,23 @@ def combine_effective_witnesses(s1: FiniteGT, s2: FiniteGT,
     """Witness table for the product space: closed sets there are rectangles,
     so each disjoint closed pair has a coordinate with disjoint factors; the
     factor witness is stretched along the other coordinate."""
-    from .spaces import product, _stretch_cols, _stretch_rows
     prod = product(s1, s2)
     table = {}
     for a in prod.closeds:
         for b in prod.closeds:
             if a & b:
                 continue
-            a1, a2 = _rect_factors(a, s1.n, s2.n)
-            b1, b2 = _rect_factors(b, s1.n, s2.n)
+            a1, a2 = rect_factors(a, s1.n, s2.n)
+            b1, b2 = rect_factors(b, s1.n, s2.n)
             if a1 & b1 == 0:
                 u, v = w1.apply(a1, b1)
-                table[(a, b)] = (_stretch_rows(u, s1.n, s2.n),
-                                 _stretch_rows(v, s1.n, s2.n))
+                table[(a, b)] = (stretch_rows(u, s1.n, s2.n),
+                                 stretch_rows(v, s1.n, s2.n))
             else:
                 u, v = w2.apply(a2, b2)
-                table[(a, b)] = (_stretch_cols(u, s1.n, s2.n),
-                                 _stretch_cols(v, s1.n, s2.n))
+                table[(a, b)] = (stretch_cols(u, s1.n, s2.n),
+                                 stretch_cols(v, s1.n, s2.n))
     return EffectiveWitness(table)
-
-
-def _rect_factors(m: int, n1: int, n2: int) -> tuple[int, int]:
-    rows = 0
-    cols = 0
-    for x in range(n1):
-        for y in range(n2):
-            if m >> (x * n2 + y) & 1:
-                rows |= 1 << x
-                cols |= 1 << y
-    return rows, cols
 
 
 # ---------------------------------------------------------------- U-families
@@ -622,7 +618,10 @@ def validate_u_family(space: FiniteGT, fam: UFamily, a: int,
     """Check the chain clauses: (i) a <= U_0 <= F_0 <= ... <= F_last <= X-b
     with open U's and closed F's, (ii) later opens minus earlier closeds are
     open, (iii) each position admits an auxiliary open-closed pair tied to
-    its neighbors whose differences against the family are all open."""
+    its neighbors whose differences against the family are all open.  Once
+    (i) holds, clause (iii) needs U_0 = F_0 in a one-pair family and is
+    searched at the middle positions of a longer one (F1, F2 in
+    is_u_normal)."""
     _check_u_pair(space, a, b)
     labels = fam.labels
     if len(set(labels)) != len(labels) or any(not 0 < r < 1 for r in labels):
@@ -646,7 +645,9 @@ def validate_u_family(space: FiniteGT, fam: UFamily, a: int,
                 return CheckReport(
                     False, "(ii)",
                     f"U at position {j} minus F at position {i} is not open")
-    for i in range(k):
+    if k == 1 and us[0] != fs[0]:
+        return CheckReport(False, "(iii)", "no auxiliary pair for position 0")
+    for i in range(1, k - 1):
         if not _aux_pair_ok(space, us, fs, i):
             return CheckReport(
                 False, "(iii)", f"no auxiliary pair for position {i}")
@@ -660,18 +661,14 @@ def _check_u_pair(space, a, b):
 
 
 def _aux_pair_ok(space, us, fs, i) -> bool:
-    last = len(us) - 1
+    """Clause (iii) at a middle position 0 < i < last: an open u and a closed
+    f with F_i <= u <= f <= U_{i+1} whose differences against the family are
+    open.  The end positions need no search (see is_u_normal)."""
     for u in space.opens:
-        if i == last and fs[last] & ~u:
-            continue
-        if 0 < i < last and fs[i] & ~u:
+        if fs[i] & ~u:
             continue
         for f in space.closeds:
-            if u & ~f:
-                continue
-            if i == 0 and f & ~us[0]:
-                continue
-            if 0 < i < last and f & ~us[i + 1]:
+            if u & ~f or f & ~us[i + 1]:
                 continue
             if _aux_side_conditions(space, us, fs, u, f):
                 return True
@@ -696,12 +693,7 @@ def extend_u_family(space: FiniteGT, fam: UFamily, a: int, b: int) -> UFamily:
     if not rep.ok:
         raise PreconditionError(f"invalid family: clause {rep.clause}, "
                                 f"{rep.detail}")
-    psi = unit_rationals()
-    used = set(fam.labels)
-    i = 0
-    while psi.value_at(i) in used:
-        i += 1
-    label = psi.value_at(i)
+    label = next(q for q in enum_unit_rationals() if q not in fam.labels)
     floor = fam.pairs[-1][1] if fam.length else a
     for u in space.opens:
         if floor & ~u:
@@ -729,45 +721,52 @@ class UNormalReport:
 def is_u_normal(space: FiniteGT, n_max: int = 3) -> UNormalReport:
     """For each chain length up to n_max+1, does every nonempty disjoint
     closed pair admit a family satisfying the chain clauses?  Verdicts are
-    reported per length bound; blocking records the first failing pair."""
+    reported per length bound; blocking records the first failing pair.
+
+    Three facts settle most of this without a search.  (F1) A one-pair
+    family meets clause (iii) exactly when U_0 = F_0, since the auxiliary
+    pair needs F_0 <= u <= f <= U_0.  (F2) In a longer family clause (iii)
+    holds at the first position through (empty, empty) and at the last
+    through (X, X).  (F3) A pair with a clopen separator c has the family
+    (c, c), ..., (c, c) of every length; for a pair without one, every
+    valid family of n+1 pairs rises strictly,
+    a < U_0 < F_0 < ... < F_n < X-b < X, because an equality would make a,
+    some U_i or F_i, or F_n clopen, so it needs 2n+5 points.  Only the
+    pairs with no clopen separator can fail, and they are searched only
+    when n >= 1 and the space has room for the strict chain.
+    """
     if not space.is_strong:
         raise PreconditionError("chain normality needs a strong space")
     if n_max < 0:
         raise InputError("n_max must be >= 0")
     check_u_normal_length(n_max)
-    pairs = [(x, y) for x in space.closeds for y in space.closeds
-             if x and y and not x & y]
-    per_n = []
+    hard = [(x, y) for x in space.closeds for y in space.closeds
+            if x and y and not x & y and clopen_separator(space, x, y) is None]
     blocking = []
     for n in range(n_max + 1):
-        verdict = True
-        block = None
-        for x, y in pairs:
-            if not _chain_family_exists(space, x, y, n):
-                verdict = False
-                block = (x, y)
-                break
-        per_n.append(verdict)
-        blocking.append(block)
-    return UNormalReport(n_max, tuple(per_n), tuple(blocking))
+        if n >= 1 and space.n >= 2 * n + 5:
+            blocking.append(next((p for p in hard
+                                  if not _chain_family_exists(space, *p, n)),
+                                 None))
+        else:
+            blocking.append(hard[0] if hard else None)
+    return UNormalReport(n_max, tuple(b is None for b in blocking),
+                         tuple(blocking))
 
 
 def _chain_family_exists(space: FiniteGT, a: int, b: int, n: int) -> bool:
-    if clopen_separator(space, a, b) is not None:
-        return True
-    if n == 0:
-        return False
-    pool = [(u, f) for u in space.opens for f in space.closeds
-            if a & ~u == 0 and u & ~f == 0 and not f & b]
-    if not pool:
-        return False
+    """Depth-first search for a family of n+1 >= 2 pairs between a and the
+    complement of b meeting the chain clauses; by (F2) clause (iii) is
+    searched at the middle positions only."""
+    pool = [(u, f) for u in space.opens if a & ~u == 0
+            for f in space.closeds if u & ~f == 0 and not f & b]
     us: list[int] = []
     fs: list[int] = []
 
     def dfs(i: int) -> bool:
         if i == n + 1:
             return all(_aux_pair_ok(space, us, fs, pos)
-                       for pos in range(n + 1))
+                       for pos in range(1, n))
         for u, f in pool:
             if us and fs[-1] & ~u:
                 continue
@@ -775,12 +774,11 @@ def _chain_family_exists(space: FiniteGT, a: int, b: int, n: int) -> bool:
                 continue
             us.append(u)
             fs.append(f)
-            if dfs(i + 1):
-                us.pop()
-                fs.pop()
-                return True
+            found = dfs(i + 1)
             us.pop()
             fs.pop()
+            if found:
+                return True
         return False
 
     return dfs(0)

@@ -5,8 +5,8 @@ the Calkin-Wilf walk interleaved with its negatives, and stop at the first
 rational q with a ⊆ (-inf,q) and b ⊆ (q,inf) -- [q,inf) in gts -- or the
 other way round.  Only set algebra decides a hit, so none of the library's
 sup/inf region arithmetic or Stern-Brocot descent is shared with the code
-being checked.  The enumeration keeps its million-term cap, past which the
-scan raises ResourceError.
+being checked.  The scan walks at most SCAN_CAP terms of the enumeration and
+raises ResourceError past them.
 
 Deep scans would spend seconds in set algebra, so each rational is first
 tested against a few member points of a and b (the finite component ends
@@ -14,11 +14,24 @@ each set contains).  That test is necessary for a hit, so it only skips
 rationals the set algebra would reject.
 """
 
-from gtopo.rationals import all_rationals
+from gtopo.errors import ResourceError
+from gtopo.rationals import enum_all_rationals
 from gtopo.realline import SymbolicWitness, classify
 from gtopo.symsets import ALL_REALS, EMPTY_SET, above, below
 
-_PSI = all_rationals()
+SCAN_CAP = 1_000_000
+# Terms computed so far, replayed by later scans: the ladder comparisons
+# make hundreds of deep scans.
+_STREAM = enum_all_rationals()
+_WALKED = []
+
+
+def _walk():
+    """The first SCAN_CAP terms of enum_all_rationals()."""
+    for i in range(SCAN_CAP):
+        if i == len(_WALKED):
+            _WALKED.append(next(_STREAM))
+        yield _WALKED[i]
 
 
 def _member_ends(s):
@@ -41,7 +54,11 @@ def scan_split_point(a, b, space):
                 or (may_split(q, ends_b, ends_a)
                     and b.issubset(below(q)) and a.issubset(above(q, closed))))
 
-    return _PSI.scan(hit)
+    for i, q in enumerate(_walk()):
+        if hit(q):
+            return i, q
+    raise ResourceError(f"no split point among the first {SCAN_CAP} "
+                        "rationals; refusing to scan further")
 
 
 def scan_effective_F(a, b, space):

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gtopo.errors import InputError, ResourceError
+from gtopo.errors import InputError
 from gtopo.rationals import (
-    RationalEnumeration, all_rationals, calkin_wilf, dyadic_neighbors,
-    dyadics_by_level, enum_all_rationals, enum_unit_rationals,
-    first_in_interval, is_dyadic_unit, unit_rationals,
+    calkin_wilf, dyadic_neighbors, dyadics_by_level, enum_all_rationals,
+    enum_unit_rationals, first_in_interval, is_dyadic_unit,
 )
 
 
@@ -45,32 +44,6 @@ def test_unit_rationals_by_denominator():
     assert take(enum_unit_rationals(), 11) == expect
     for q in take(enum_unit_rationals(), 200):
         assert 0 < q < 1
-
-
-def test_enumeration_indexing_and_scan():
-    psi = all_rationals()
-    assert psi.value_at(0) == 0
-    assert psi.value_at(9) == F(3, 2)
-    i, q = psi.scan(lambda v: 1 < v < 2)
-    assert (i, q) == (9, F(3, 2))
-    assert psi.index_of(F(-2)) == 6
-    assert psi.prefix(3) == [F(0), F(1), F(-1)]
-    with pytest.raises(InputError):
-        psi.value_at(-1)
-
-
-def test_enumeration_cap():
-    small = RationalEnumeration(enum_all_rationals, "Q", cap=10)
-    with pytest.raises(ResourceError):
-        small.value_at(10)
-    with pytest.raises(ResourceError):
-        small.scan(lambda v: False)
-
-
-def test_unit_enumeration_first_index():
-    psi = unit_rationals()
-    assert psi.value_at(0) == F(1, 2)
-    assert psi.index_of(F(3, 4)) == 4
 
 
 def test_dyadics():

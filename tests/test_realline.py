@@ -18,6 +18,7 @@ from gtopo.realline import (LiftedWitness, OpenTriple, SymbolicWitness,
                             product_gul_witness, tietze_extend)
 from gtopo.symsets import (ALL_REALS, EMPTY_SET, Interval, above, below,
                            interval, make_set, point)
+import effective_f_oracle
 from continuity_oracle import sweep_continuous, trace_extend
 from effective_f_oracle import scan_effective_F, scan_split_point
 from test_pwmaps import POOL, RAMP, STEP, rand_map
@@ -535,6 +536,17 @@ def test_effective_f_far_out_pair():
     assert w == SymbolicWitness(S("(-inf,61/2)"), S("(61/2,inf)"))
     w2 = effective_F(S("[31,31]"), S("[30,30]"), "gts")
     assert w2 == SymbolicWitness(S("[31,inf)"), S("(-inf,31)"))
+
+
+def test_scan_refuses_past_its_cap(monkeypatch):
+    a, b = S("[8,8]"), S("[9,9]")
+    i, q = scan_split_point(a, b, "gtn")
+    assert (i, q) == (1533, F(17, 2))
+    monkeypatch.setattr(effective_f_oracle, "SCAN_CAP", i + 1)
+    assert scan_split_point(a, b, "gtn") == (i, q)
+    monkeypatch.setattr(effective_f_oracle, "SCAN_CAP", i)
+    with pytest.raises(ResourceError):
+        scan_split_point(a, b, "gtn")
 
 
 def test_effective_f_matches_scan_on_random_pairs():

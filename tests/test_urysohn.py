@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gtopo.urysohn as urysohn
 from gtopo.errors import (
     InputError, NoExtension, PreconditionError, ResourceError,
 )
 from gtopo.spaces import (
-    FiniteGT, canonical_family, close_under, closure, enumerate_strong_gts,
-    interior, make_space, mask_from_points, product, sample_strong_gts,
-    separation_profile,
+    FiniteGT, canonical_family, clopen_defect, clopen_separator, close_under,
+    closure, enumerate_strong_gts, interior, make_space, mask_from_points,
+    product, sample_strong_gts, separation_profile,
 )
 from gtopo.urysohn import (
-    EMPTY_U_FAMILY, FiniteFunction, Ladder, PairLadder, UFamily,
+    EMPTY_U_FAMILY, CheckReport, FiniteFunction, Ladder, PairLadder, UFamily,
     check_continuity_finite, check_ladder, combine_effective_witnesses,
     constant_function, decide_gul_pair, decide_statement, decide_ul_pair,
     effective_witness, extend_ladder_step, extend_u_family,
@@ -22,6 +23,7 @@ from gtopo.urysohn import (
     make_ladder, make_pair_ladder, normality_defect, validate_u_family,
 )
 
+from chain_oracle import first_family, u_normal_report, validate_family
 from continuity_oracle import oracle_continuous_gtaun, oracle_continuous_taun
 from statement_oracle import (extension_report, ordered_partitions,
                               set_partitions, ul_witness)
@@ -636,6 +638,203 @@ def test_u_family_extension_blocked():
     with pytest.raises(NoExtension) as exc:
         extend_u_family(SIERPINSKI3, EMPTY_U_FAMILY, a, b)
     assert exc.value.blocking == (a, b)
+
+
+# ---------------------------------------------------------------- chain search
+
+def generated(n, *gens):
+    full = (1 << n) - 1
+    return FiniteGT(n, canonical_family(close_under([0, full, *gens])))
+
+
+def R(k):
+    return m(*range(k + 1))
+
+
+# A family of n+1 pairs for a pair with no clopen separator rises strictly
+# through 2n+5 points.  CHAIN7 has exactly the 7 points of n = 1.
+CHAIN7_GENERATORS = (m(0, 1), m(3, 4, 5, 6), m(0, 1, 2, 3), m(3), m(5, 6),
+                     m(*range(1, 7)), m(*range(6)))
+CHAIN7 = generated(7, *CHAIN7_GENERATORS)
+# U_0, F_0, U_1, F_1, u*, f*, U_2, F_2 = R(1)..R(8) on 11 points, with (u*, f*)
+# the auxiliary pair of the middle position.
+_U0, _F0, _U1, _F1, _US, _FS, _U2, _F2 = map(R, range(1, 9))
+CHAIN11 = generated(11, _U0, _U1, _U2, _US,
+                    *(R(10) ^ c for c in (_F0, _F1, _F2, _FS, m(0))), R(9),
+                    _U1 & ~_F0, _U2 & ~_F0, _U2 & ~_F1, _U2 & ~_FS,
+                    _US & ~_F0, _US & ~_F1)
+
+
+def labelled(pairs):
+    return UFamily(tuple(F(1, k + 2) for k in range(len(pairs))), pairs)
+
+
+def test_two_pair_family_fills_seven_points():
+    a, b = m(0), m(6)
+    assert clopen_separator(CHAIN7, a, b) is None
+    pairs = ((m(0, 1), m(0, 1, 2)), (m(0, 1, 2, 3), m(0, 1, 2, 3, 4)))
+    assert validate_u_family(CHAIN7, labelled(pairs), a, b).ok
+    assert first_family(CHAIN7, a, b, 1) == pairs
+    assert first_family(CHAIN7, a, b, 2) is None
+    assert urysohn._chain_family_exists(CHAIN7, a, b, 1)
+    assert not urysohn._chain_family_exists(CHAIN7, a, b, 2)
+    assert is_u_normal(CHAIN7, 3) == u_normal_report(CHAIN7, 3)
+    # without the open difference {3} = U_1 minus F_0 clause (ii) fails
+    gap = generated(7, *(g for g in CHAIN7_GENERATORS if g != m(3)))
+    assert validate_u_family(gap, labelled(pairs), a, b) == CheckReport(
+        False, "(ii)", "U at position 1 minus F at position 0 is not open")
+    assert first_family(gap, a, b, 1) is None
+    assert not urysohn._chain_family_exists(gap, a, b, 1)
+
+
+def test_three_pair_family_on_eleven_points():
+    a, b = m(0), m(10)
+    assert clopen_separator(CHAIN11, a, b) is None
+    pairs = ((R(1), R(2)), (R(3), R(4)), (R(7), R(8)))
+    assert validate_u_family(CHAIN11, labelled(pairs), a, b).ok
+    assert first_family(CHAIN11, a, b, 2) == pairs
+    # (R5, R6) as the top pair leaves no auxiliary pair between R4 and R5
+    squeezed = labelled(pairs[:2] + ((R(5), R(6)),))
+    assert validate_u_family(CHAIN11, squeezed, a, b) == CheckReport(
+        False, "(iii)", "no auxiliary pair for position 1")
+    assert validate_family(CHAIN11, squeezed, a, b) == CheckReport(
+        False, "(iii)", "no auxiliary pair for position 1")
+    assert [urysohn._chain_family_exists(CHAIN11, a, b, n)
+            for n in (1, 2, 3)] == [True, True, False]
+    assert is_u_normal(CHAIN11, 3) == u_normal_report(CHAIN11, 3)
+
+
+def chain_space(rng):
+    """A strong GT on 7-11 points built around a chain rising from {0} to
+    the complement of {1}: its sets alternate open and closed, the
+    differences clause (ii) asks for are open, and 0-3 random opens join
+    the generators."""
+    n = rng.randint(7, 11)
+    full = (1 << n) - 1
+    perm = [0, *rng.sample(range(2, n), n - 2), 1]
+    cuts = sorted(rng.sample(range(2, n - 1), rng.randint(2, n - 3)))
+    chain = [m(*perm[:c]) for c in cuts]
+    us, fs = chain[0::2], chain[1::2]
+    return generated(n, full ^ m(0), full ^ m(1), *us,
+                     *(full ^ f for f in fs),
+                     *(u & ~f for u in us for f in fs if f & ~u == 0),
+                     *(rng.randrange(1, full)
+                       for _ in range(rng.randint(0, 3))))
+
+
+def hard_pairs(s):
+    return [(x, y) for x in s.closeds for y in s.closeds
+            if x and y and not x & y and clopen_separator(s, x, y) is None]
+
+
+def check_random_families(s, a, b, rng, count):
+    """validate_u_family against the oracle on random families between a
+    and the complement of b, mostly meeting clauses (i) and (ii); returns
+    the reports seen."""
+    pool = [(u, f) for u in s.opens for f in s.closeds
+            if a & ~u == 0 and u & ~f == 0 and not f & b]
+    seen = set()
+    for _ in range(count if pool else 0):
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            choices = [(u, f) for u, f in pool
+                       if not pairs or pairs[-1][1] & ~u == 0
+                       and all(u & ~g in s.open_set for _, g in pairs)]
+            if rng.random() < 0.1:
+                choices = pool
+            elif not choices:
+                break
+            elif rng.random() < 0.8:    # leave room for later pairs
+                choices = sorted(choices, key=lambda p: p[1].bit_count())[:4]
+            pairs.append(rng.choice(choices))
+        fam = labelled(tuple(pairs))
+        if rng.random() < 0.05:
+            fam = UFamily((F(3, 2), *fam.labels[1:]), fam.pairs)
+        rep = validate_u_family(s, fam, a, b)
+        assert rep == validate_family(s, fam, a, b)
+        seen.add((fam.length > 1, rep.clause, rep.detail))
+    return seen
+
+
+@pytest.fixture(scope="module")
+def census4_and_300():
+    return ([s for n in range(5) for s in enumerate_strong_gts(n)]
+            + sample_strong_gts(5, 300, seed=5309))
+
+
+def test_u_normal_matches_oracle_small(census4_and_300):
+    for i, s in enumerate(census4_and_300):
+        assert is_u_normal(s, i % 6) == u_normal_report(s, i % 6)
+
+
+def test_validate_u_family_matches_oracle_small(census4_and_300):
+    rng = random.Random(2417)
+    seen = set()
+    for s in census4_and_300:
+        pairs = [(x, y) for x in s.closeds for y in s.closeds
+                 if x and y and not x & y]
+        for a, b in rng.sample(pairs, min(2, len(pairs))):
+            seen |= check_random_families(s, a, b, rng, 3)
+    clauses = {c for _, c, _ in seen}
+    assert {None, "labels", "(i)", "(ii)", "(iii)"} <= clauses
+
+
+@pytest.fixture(scope="module")
+def chain_corpus():
+    rng = random.Random(7711)
+    return [chain_space(rng) for _ in range(150)]
+
+
+def test_chain_search_matches_oracle_on_rising_chains(chain_corpus):
+    found = changes = 0
+    for s in chain_corpus:
+        rep = is_u_normal(s, 3)
+        assert rep == u_normal_report(s, 3)
+        changes += len(set(rep.blocking)) > 1
+        for n in range(1, (s.n - 5) // 2 + 1):
+            for x, y in hard_pairs(s)[:12]:
+                fam = first_family(s, x, y, n)
+                assert urysohn._chain_family_exists(s, x, y, n) == (
+                    fam is not None)
+                if fam is not None:
+                    found += 1
+                    assert validate_u_family(s, labelled(fam), x, y).ok
+    assert found >= 100
+    assert changes >= 10
+
+
+def test_validate_u_family_matches_oracle_on_rising_chains(chain_corpus):
+    rng = random.Random(907)
+    seen = set()
+    for s in chain_corpus:
+        hard = hard_pairs(s)
+        for a, b in [(m(0), m(1)), *rng.sample(hard, min(4, len(hard)))]:
+            seen |= check_random_families(s, a, b, rng, 10)
+    iii = {(longer, detail) for longer, c, detail in seen if c == "(iii)"}
+    assert (False, "no auxiliary pair for position 0") in iii
+    assert any(longer for longer, _ in iii)
+
+
+def test_u_normal_never_searches_up_to_six_points(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("chain-family search on a small space")
+
+    monkeypatch.setattr(urysohn, "_chain_family_exists", refuse)
+    spaces = ([s for n in range(5) for s in enumerate_strong_gts(n)]
+              + sample_strong_gts(5, 200, seed=41)
+              + sample_strong_gts(6, 200, seed=42))
+    for s in spaces:
+        defect = clopen_defect(s)
+        assert is_u_normal(s, 64).blocking == (defect,) * 65
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=strong_gts(max_points=6), k=st.integers(0, 8))
+def test_u_normal_is_clopen_normality_up_to_six_points(s, k):
+    defect = clopen_defect(s)
+    rep = is_u_normal(s, k)
+    assert rep.per_n == (defect is None,) * (k + 1)
+    assert rep.blocking == (defect,) * (k + 1)
 
 
 # ---------------------------------------------------------------- collapse
