@@ -19,10 +19,11 @@ import json
 import sys
 import time
 
-from .errors import InputError, NoExtension, PreconditionError, ResourceError
+from .errors import (TARGETS, InputError, NoExtension, PreconditionError,
+                     ResourceError)
 from .expressions import (format_map, format_rational, format_set, parse_map,
                           parse_set)
-from .realline import (check_continuity_sym, classify, closure_sym,
+from .realline import (SPACES, check_continuity_sym, classify, closure_sym,
                        disjoint_open_triple, effective_F, gul_witness,
                        ladder_from_F, tietze_extend)
 from .spaces import (canonical_family, enumerate_strong_gts,
@@ -241,8 +242,8 @@ def _run_real_ladder(args):
     doc = {"verb": "real ladder",
            "input": {"a": args.a, "b": args.b, "space": args.space,
                      "level": args.level},
-           "rungs": [{"index": fmt_q(r), "set": format_set(lad.get(r))}
-                     for r in lad.indices()]}
+           "rungs": [{"index": fmt_q(r), "set": format_set(s)}
+                     for r, s in lad.entries]}
     return doc, 0
 
 
@@ -317,42 +318,42 @@ def build_parser() -> argparse.ArgumentParser:
     rp = real_parser("closure", _run_real_closure,
                      "closure of a symbolic set")
     rp.add_argument("--set", required=True, metavar="EXPR")
-    rp.add_argument("--space", required=True, choices=("gtn", "gts"))
+    rp.add_argument("--space", required=True, choices=SPACES)
 
     rp = real_parser("classify", _run_real_classify,
                      "open/closed/clopen/neither verdict for a symbolic set")
     rp.add_argument("--set", required=True, metavar="EXPR")
-    rp.add_argument("--space", required=True, choices=("gtn", "gts"))
+    rp.add_argument("--space", required=True, choices=SPACES)
 
     rp = real_parser("urysohn", _run_real_urysohn,
                      "separating ramp for a disjoint closed pair with a gap")
     rp.add_argument("--a", required=True, metavar="EXPR")
     rp.add_argument("--b", required=True, metavar="EXPR")
-    rp.add_argument("--space", required=True, choices=("gtn", "gts"))
+    rp.add_argument("--space", required=True, choices=SPACES)
 
     rp = real_parser("extend", _run_real_extend,
                      "extend a function from a closed set to the whole line")
     rp.add_argument("--p", required=True, metavar="EXPR")
     rp.add_argument("--fn", required=True, metavar="MAP")
-    rp.add_argument("--target", required=True, choices=("taun", "gtaun"))
+    rp.add_argument("--target", required=True, choices=TARGETS)
 
     rp = real_parser("check-fn", _run_real_check_fn,
                      "continuity verdict for a piecewise map")
     rp.add_argument("--fn", required=True, metavar="MAP")
-    rp.add_argument("--source", required=True, choices=("gtn", "gts"))
-    rp.add_argument("--target", required=True, choices=("taun", "gtaun"))
+    rp.add_argument("--source", required=True, choices=SPACES)
+    rp.add_argument("--target", required=True, choices=TARGETS)
 
     rp = real_parser("effective-f", _run_real_effective_f,
                      "canonical disjoint open pair covering a closed pair")
     rp.add_argument("--a", required=True, metavar="EXPR")
     rp.add_argument("--b", required=True, metavar="EXPR")
-    rp.add_argument("--space", required=True, choices=("gtn", "gts"))
+    rp.add_argument("--space", required=True, choices=SPACES)
 
     rp = real_parser("ladder", _run_real_ladder,
                      "dyadic ladder of separating opens")
     rp.add_argument("--a", required=True, metavar="EXPR")
     rp.add_argument("--b", required=True, metavar="EXPR")
-    rp.add_argument("--space", required=True, choices=("gtn", "gts"))
+    rp.add_argument("--space", required=True, choices=SPACES)
     rp.add_argument("--level", type=int, required=True, metavar="K")
 
     rp = real_parser("triple", _run_real_triple,

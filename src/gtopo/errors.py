@@ -1,10 +1,17 @@
-"""Exception types shared across the package.
+"""Exception types and the continuity-target vocabulary shared across the
+package.
 
 Every failure the library can signal deliberately is one of these four, so
 callers (and the CLI exit-code mapping) can tell bad input apart from
 well-formed input that violates a mathematical precondition, and both apart
 from work that was refused because it would not terminate in reasonable time.
+
+Both halves decide continuity into the same two targets: `taun`, the interval
+topology, and `gtaun`, the ray GT.  They are named here, where both halves
+already import from, so the finite half needs nothing from the real line.
 """
+
+TARGETS = ("taun", "gtaun")
 
 
 class InputError(ValueError):
@@ -42,3 +49,8 @@ class NoExtension(Exception):
         super().__init__(reason)
         self.reason = reason
         self.blocking = blocking
+
+
+def check_target(target: str) -> None:
+    if target not in TARGETS:
+        raise InputError(f"unknown target {target!r}: expected one of {TARGETS}")

@@ -30,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, PreconditionError, ResourceError
+from .errors import InputError, PreconditionError, ResourceError, check_target
 from .pwmaps import PiecewiseMap, constant_map, make_pwmap
 from .rationals import dyadic_neighbors, dyadics_by_level, first_in_interval
 from .symsets import (ALL_REALS, EMPTY_SET, Interval, SymbolicSet, above,
@@ -38,17 +38,11 @@ from .symsets import (ALL_REALS, EMPTY_SET, Interval, SymbolicSet, above,
 from .symsets import make_set  # noqa: F401  (bench/tracing.py patches it here)
 
 SPACES = ("gtn", "gts")
-TARGETS = ("taun", "gtaun")
 
 
 def _check_space(space: str) -> None:
     if space not in SPACES:
         raise InputError(f"unknown space {space!r}: expected one of {SPACES}")
-
-
-def _check_target(target: str) -> None:
-    if target not in TARGETS:
-        raise InputError(f"unknown target {target!r}: expected one of {TARGETS}")
 
 
 def _is_open_form(s: SymbolicSet, space: str) -> bool:
@@ -199,7 +193,7 @@ def check_continuity_sym(f: PiecewiseMap, source: str, target: str) -> bool:
     each end) therefore decide every ray.
     """
     _check_space(source)
-    _check_target(target)
+    check_target(target)
     if target == "taun":
         return _window_continuous(f, source)
     return all(_is_open_form(f.preimage_open(lo, hi), source)
@@ -228,7 +222,7 @@ def tietze_extend(p: SymbolicSet, f: PiecewiseMap, target: str) -> PiecewiseMap:
     (c,∞), (−∞,c) ∪ (d,∞)), and restricting g to p gives f back.  So f is
     continuous on the subspace p exactly when g is continuous on gtn, and
     the extension is accepted exactly then."""
-    _check_target(target)
+    check_target(target)
     if not _is_closed_form(p, "gtn"):
         raise PreconditionError("p is not closed in gtn")
     if p.is_empty or p.is_all:
@@ -237,20 +231,14 @@ def tietze_extend(p: SymbolicSet, f: PiecewiseMap, target: str) -> PiecewiseMap:
     if c.is_singleton:
         raise PreconditionError("singleton domains are not handled")
     zero = Fraction(0)
-    if c.lo is not None and c.hi is not None:
-        fa, fb = f.value_at(c.lo), f.value_at(c.hi)
-        bps, vals, pieces = _slice_between(f, c.lo, c.hi)
-        g = PiecewiseMap((c.lo,) + bps + (c.hi,),
-                         ((zero, fa),) + pieces + ((zero, fb),),
-                         (fa,) + vals + (fb,))
-    elif c.lo is None:                     # p = (-inf, a]
-        fa = f.value_at(c.hi)
-        bps, vals, pieces = _slice_between(f, None, c.hi)
-        g = PiecewiseMap(bps + (c.hi,), pieces + ((zero, fa),), vals + (fa,))
-    else:                                  # p = [b, inf)
-        fb = f.value_at(c.lo)
-        bps, vals, pieces = _slice_between(f, c.lo, None)
-        g = PiecewiseMap((c.lo,) + bps, ((zero, fb),) + pieces, (fb,) + vals)
+    bps, vals, pieces = _slice_between(f, c.lo, c.hi)
+    if c.lo is not None:                   # freeze f(lo) below p
+        v = f.value_at(c.lo)
+        bps, vals, pieces = (c.lo,) + bps, (v,) + vals, ((zero, v),) + pieces
+    if c.hi is not None:                   # freeze f(hi) above p
+        v = f.value_at(c.hi)
+        bps, vals, pieces = bps + (c.hi,), vals + (v,), pieces + ((zero, v),)
+    g = PiecewiseMap(bps, pieces, vals)
     if not check_continuity_sym(g, "gtn", target):
         raise PreconditionError(
             f"f is not {target}-continuous on the subspace p")
@@ -311,12 +299,15 @@ def _split(a: SymbolicSet, b: SymbolicSet, right_closed: bool
            ) -> SymbolicWitness:
     """Split at the first rational that puts a below and b above, or b below
     and a above.  For a nonempty disjoint closed pair only one orientation
-    has split points at all, so positions never need comparing."""
+    has split points at all, so positions never need comparing.
+
+    The orientation is the one whose _first_split answered: a q it returns
+    already has its left set below q and its right set above, so nothing is
+    re-tested.  If neither answers, below(None) and above(None) are both ℝ."""
     q = _first_split(a, b, right_closed)
-    if q is None:
-        q = _first_split(b, a, right_closed)
-    if a.issubset(below(q)) and b.issubset(above(q, closed=right_closed)):
+    if q is not None:
         return SymbolicWitness(below(q), above(q, closed=right_closed))
+    q = _first_split(b, a, right_closed)
     return SymbolicWitness(above(q, closed=right_closed), below(q))
 
 

@@ -336,8 +336,12 @@ def enumerate_strong_gts(n: int, max_points: int = 4) -> Iterator[FiniteGT]:
 
     Candidates are the proper nonempty subsets; the empty set and the ground
     set are members of every strong GT.  The search branches exclude-first
-    and propagates forced unions, which always land strictly later in
-    canonical order, so each leaf is union-closed by construction.
+    and propagates forced unions, so each leaf is union-closed by
+    construction.  Including a candidate m never conflicts with an earlier
+    exclusion: a union m | x with an earlier member x is m itself or has
+    more points, so it lies strictly later in canonical order than m, while
+    every excluded candidate on the path lies earlier.  So the search keeps
+    only which later candidates are forced.
     """
     if n < 0:
         raise InputError(f"point count must be >= 0, got {n}")
@@ -355,8 +359,7 @@ def enumerate_strong_gts(n: int, max_points: int = 4) -> Iterator[FiniteGT]:
     cands = sorted(range(1, full), key=canonical_key)
     pos = {m: i for i, m in enumerate(cands)}
     k = len(cands)
-    UNDEC, IN, OUT = 0, 1, -1
-    status = [UNDEC] * k
+    forced = [False] * k
     members: list[int] = []
 
     def dfs(i: int) -> Iterator[FiniteGT]:
@@ -364,30 +367,23 @@ def enumerate_strong_gts(n: int, max_points: int = 4) -> Iterator[FiniteGT]:
             yield FiniteGT(n, (0, *members, full))
             return
         m = cands[i]
-        if status[i] != IN:
-            status[i] = OUT
+        if not forced[i]:
             yield from dfs(i + 1)
-            status[i] = UNDEC
         # include branch (mandatory when an earlier union forced this set)
         undo = []
-        ok = True
         for x in members:
             u = m | x
             if u == full or u == m:
                 continue
             j = pos[u]
-            if status[j] == OUT:
-                ok = False
-                break
-            if status[j] == UNDEC:
-                status[j] = IN
+            if not forced[j]:
+                forced[j] = True
                 undo.append(j)
-        if ok:
-            members.append(m)
-            yield from dfs(i + 1)
-            members.pop()
+        members.append(m)
+        yield from dfs(i + 1)
+        members.pop()
         for j in undo:
-            status[j] = UNDEC
+            forced[j] = False
 
     yield from dfs(0)
 

@@ -32,14 +32,13 @@ from itertools import accumulate
 from operator import or_
 from typing import Iterable, Iterator, Optional
 
-from .errors import InputError, NoExtension, PreconditionError, ResourceError
+from .errors import (InputError, NoExtension, PreconditionError,
+                     ResourceError, check_target)
 from .rationals import dyadics_by_level, enum_unit_rationals
 from .spaces import (FiniteGT, canonical_key, clopen_defect, clopen_separator,
                      closure, fmt_mask, points_from_mask, product,
                      rect_factors, stretch_cols, stretch_rows)
 from .symsets import as_fraction
-
-TARGETS = ("taun", "gtaun")
 
 # TET/GTET search every closed subspace's fiber structures; above this many
 # points the work is refused up front.
@@ -48,11 +47,6 @@ EXTENSION_MAX_POINTS = 5
 # is_u_normal decides and reports every chain length up to n_max, so its time
 # and output grow linearly with n_max; larger bounds are refused up front.
 U_NORMAL_MAX_LENGTH = 64
-
-
-def _check_target(target: str) -> None:
-    if target not in TARGETS:
-        raise InputError(f"target must be one of {TARGETS}, got {target!r}")
 
 
 # ---------------------------------------------------------------- functions
@@ -107,7 +101,7 @@ def check_continuity_finite(f: FiniteFunction, space: FiniteGT,
     """Continuity of f into the interval topology (taun: every fiber open)
     or into the ray GT (gtaun: every prefix and suffix union of the
     value-ordered fibers open; union-closure lifts rays to all opens)."""
-    _check_target(target)
+    check_target(target)
     if f.n != space.n:
         raise InputError(f"function on {f.n} points, space on {space.n}")
     if target == "taun":
@@ -476,7 +470,11 @@ def extend_ladder_step(space: FiniteGT, partial: Ladder, a: int, b: int,
                        next_index) -> Ladder:
     """Insert one rung at next_index: the canonically least open set that
     interpolates between the closure of the rung below (or a) and the rung
-    above (or the complement of b)."""
+    above (or the complement of b).
+
+    The new rung needs no separate test against a or b.  Once check_ladder
+    has passed, every rung contains a and no rung's closure meets b, so the
+    lower bound contains a and the upper bound contains b."""
     r = as_fraction(next_index)
     if not 0 < r < 1:
         raise InputError(f"next index {r} outside (0,1)")
@@ -491,10 +489,7 @@ def extend_ladder_step(space: FiniteGT, partial: Ladder, a: int, b: int,
     lower = closure(space, below[-1][1]) if below else a
     upper = (space.full ^ above[0][1]) if above else b
     for w in space.opens:
-        if lower & ~w or a & ~w:
-            continue
-        cw = closure(space, w)
-        if cw & upper or cw & b:
+        if lower & ~w or closure(space, w) & upper:
             continue
         return Ladder(tuple(sorted(partial.entries + ((r, w),))))
     raise NoExtension(
@@ -518,16 +513,6 @@ class EffectiveWitness:
             raise InputError(
                 f"({fmt_mask(a)}, {fmt_mask(b)}) is not a disjoint closed "
                 f"pair of this space") from None
-
-
-def normality_defect(space: FiniteGT) -> Optional[tuple[int, int]]:
-    """First disjoint closed pair with no disjoint open covers, or None."""
-    closeds = space.closeds
-    for i, a in enumerate(closeds):
-        for b in closeds[i:]:
-            if not a & b and _least_open_cover(space, a, b) is None:
-                return (a, b)
-    return None
 
 
 def effective_witness(space: FiniteGT) -> Optional[EffectiveWitness]:
@@ -676,6 +661,12 @@ def _aux_pair_ok(space, us, fs, i) -> bool:
 
 
 def _aux_side_conditions(space, us, fs, u, f) -> bool:
+    """The auxiliary pair's differences against the family are open: U_j - f
+    when f <= U_j, and u - F_j when F_j <= u.  Both tests stay.  The second
+    decides on a 5-point space pinned in the tests, where a family passes
+    without it.  Nothing shows that clauses (i) and (ii) imply the first:
+    U_j - f is the meet of two opens, and a GT need not be closed under
+    meets."""
     for j in range(len(us)):
         if f & ~us[j] == 0 and (us[j] & ~f) not in space.open_set:
             return False

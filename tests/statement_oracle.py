@@ -2,10 +2,12 @@
 
 These are the exhaustive searches the clopen kernel replaced: TET/GTET by
 filtering every (ordered or unordered) partition of each closed set and of
-the whole space against the open traces, and UL witnesses by searching exact
-covers of the space by opens.  Nothing here asks which sets are clopen, so
-the clopen collapse that `gtopo.urysohn` relies on is checked rather than
-assumed.  Feasible up to 5 points (541 ordered partitions of 5 points).
+the whole space against the open traces, UL witnesses by searching exact
+covers of the space by opens, and normality by searching disjoint open
+covers of each disjoint closed pair.  Nothing here asks which sets are
+clopen, so the clopen collapse that `gtopo.urysohn` relies on is checked
+rather than assumed.  Feasible up to 5 points (541 ordered partitions of 5
+points).
 """
 
 from fractions import Fraction
@@ -134,3 +136,19 @@ def ul_witness(space, a: int, b: int) -> Optional[FiniteFunction]:
                         values[p] = v
             return FiniteFunction(tuple(values))
     return None
+
+
+def normality_defect(space) -> Optional[tuple[int, int]]:
+    """First disjoint closed pair, in canonical order with a before b, that
+    has no disjoint open covers, or None."""
+    closeds = space.closeds
+    for i, a in enumerate(closeds):
+        for b in closeds[i:]:
+            if not a & b and not _has_open_cover(space, a, b):
+                return (a, b)
+    return None
+
+
+def _has_open_cover(space, a: int, b: int) -> bool:
+    return any(a & ~u == 0 and b & ~v == 0 and not u & v
+               for u in space.opens for v in space.opens)

@@ -13,8 +13,8 @@ import hashlib
 
 from gtopo.spaces import enumerate_strong_gts, sample_strong_gts, separation_profile
 from gtopo.urysohn import (STATEMENTS, decide_gul_pair, decide_statement,
-                           decide_ul_pair, effective_witness, is_u_normal,
-                           normality_defect)
+                           decide_ul_pair, effective_witness, is_u_normal)
+from statement_oracle import normality_defect
 
 GOLDEN_SHA256 = "b58e439dfbba65d1c7239f5b2e6faf15f822adbef6c016a05ed785812407a68a"
 

@@ -20,13 +20,13 @@ from gtopo.urysohn import (
     constant_function, decide_gul_pair, decide_statement, decide_ul_pair,
     effective_witness, extend_ladder_step, extend_u_family,
     function_from_ladder, is_u_normal, ladder_from_function, make_function,
-    make_ladder, make_pair_ladder, normality_defect, validate_u_family,
+    make_ladder, make_pair_ladder, validate_u_family,
 )
 
 from chain_oracle import first_family, u_normal_report, validate_family
 from continuity_oracle import oracle_continuous_gtaun, oracle_continuous_taun
-from statement_oracle import (extension_report, ordered_partitions,
-                              set_partitions, ul_witness)
+from statement_oracle import (extension_report, normality_defect,
+                              ordered_partitions, set_partitions, ul_witness)
 
 
 def m(*points, n=None):
@@ -702,6 +702,23 @@ def test_three_pair_family_on_eleven_points():
     assert [urysohn._chain_family_exists(CHAIN11, a, b, n)
             for n in (1, 2, 3)] == [True, True, False]
     assert is_u_normal(CHAIN11, 3) == u_normal_report(CHAIN11, 3)
+
+
+def test_aux_difference_against_lower_closed_decides():
+    """The family meets clauses (i) and (ii).  The only auxiliary pair for
+    the middle position is ({0,1}, {0,1}), and u minus F_0 = {0} is not
+    open, so clause (iii) fails there through the second side test alone;
+    without that test the family would pass."""
+    s = generated(5, m(1, n=5), m(3, n=5), m(4, n=5), m(0, 1, n=5),
+                  m(0, 4, n=5), m(2, 4, n=5))
+    assert len(s.opens) == 22
+    a, b = m(1, n=5), m(3, n=5)
+    fam = UFamily((F(1, 2), F(1, 3), F(2, 3)),
+                  ((a, a), (a, m(0, 1, n=5)),
+                   (m(0, 1, 4, n=5), m(0, 1, 2, 4, n=5))))
+    blocked = CheckReport(False, "(iii)", "no auxiliary pair for position 1")
+    assert validate_u_family(s, fam, a, b) == blocked
+    assert validate_family(s, fam, a, b) == blocked
 
 
 def chain_space(rng):
