@@ -81,8 +81,9 @@ def _run_validate(args):
 
 def _run_props(args):
     check_u_normal_length(args.u_normal_max)
-    space = _space_from_file(args.file)
-    check_extension_size(space.n)   # TET/GTET would refuse; refuse up front
+    n, masks = parse_space_dict(_load_doc(args.file))
+    check_extension_size(n)     # refuse by size before validating
+    space = make_space(n, masks)
     prof = separation_profile(space)
     un = is_u_normal(space, args.u_normal_max)
     doc = {"verb": "props",
@@ -168,7 +169,7 @@ def _run_census(args):
                              f"{e.strerror or e}") from None
     count = 0
     try:
-        for s in enumerate_strong_gts(args.points, max_points=5):
+        for s in enumerate_strong_gts(args.points):
             if pred is not None and not pred(s):
                 continue
             count += 1

@@ -108,10 +108,8 @@ class PiecewiseMap:
         for q in cuts:
             if region.contains(q) and self.value_at(q) != other.value_at(q):
                 return False
-        anchors = [None] + cuts + [None]
+        anchors = [None] + cuts + [None]     # cuts strictly increase
         for lo, hi in zip(anchors, anchors[1:]):
-            if lo is not None and hi is not None and lo == hi:
-                continue
             for x in _two_samples(lo, hi):
                 if region.contains(x) and self.value_at(x) != other.value_at(x):
                     return False

@@ -9,7 +9,6 @@ is a pure function so census sweeps can memoize freely.
 """
 
 import operator
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
@@ -69,6 +68,17 @@ def close_under(masks: Iterable[int], op=operator.or_) -> set[int]:
     return family
 
 
+def _first_missing(masks: tuple[int, ...], op) -> Optional[tuple[int, int]]:
+    """First pair (a, b), a before b in masks, whose op(a, b) is not in
+    masks, or None: the one scan behind the union and meet axioms."""
+    have = set(masks)
+    for i, a in enumerate(masks):
+        for b in masks[i + 1:]:
+            if op(a, b) not in have:
+                return a, b
+    return None
+
+
 # ---------------------------------------------------------------- core types
 
 @dataclass(frozen=True)
@@ -108,9 +118,7 @@ class FiniteGT:
 
     @cached_property
     def is_topology(self) -> bool:
-        return all(a & b in self.open_set
-                   for i, a in enumerate(self.opens)
-                   for b in self.opens[i + 1:])
+        return _first_missing(self.opens, operator.and_) is None
 
     def is_open(self, mask: int) -> bool:
         return mask in self.open_set
@@ -152,51 +160,39 @@ def _check_masks(masks: Iterable[int], n: int) -> list[int]:
     return out
 
 
+def _gt_violation(masks: tuple[int, ...]) -> Optional[str]:
+    """First failed GT axiom of a canonical family, or None."""
+    if 0 not in masks:
+        return "missing empty set"
+    pair = _first_missing(masks, operator.or_)
+    return pair and f"missing union {fmt_mask(pair[0])} | {fmt_mask(pair[1])}"
+
+
 def validate_gt(family: Iterable[int], n: int) -> GTReport:
     """Diagnose a family of bitmasks against the GT and topology axioms.
 
     violation names the first failed axiom in canonical scan order: the
-    missing empty set, then the first missing pairwise union, then (for
-    topology only) the first missing pairwise intersection.
+    missing empty set, then the first missing pairwise union (make_space
+    runs the same scan), then (for topology only) the first missing
+    pairwise intersection.
     """
     masks = canonical_family(_check_masks(family, n))
-    full = (1 << n) - 1
-    have = set(masks)
-    if 0 not in have:
-        return GTReport(False, False, False, "missing empty set")
-    violation = None
-    is_gt = True
-    for i, a in enumerate(masks):
-        for b in masks[i + 1:]:
-            u = a | b
-            if u not in have:
-                violation = f"missing union {fmt_mask(a)} | {fmt_mask(b)}"
-                is_gt = False
-                break
-        if violation:
-            break
-    is_strong = is_gt and full in have
-    is_topology = is_gt
-    if is_gt:
-        for i, a in enumerate(masks):
-            if not is_topology:
-                break
-            for b in masks[i + 1:]:
-                w = a & b
-                if w not in have:
-                    violation = (f"missing intersection "
-                                 f"{fmt_mask(a)} & {fmt_mask(b)}")
-                    is_topology = False
-                    break
-    return GTReport(is_gt, is_strong, is_topology, violation)
+    violation = _gt_violation(masks)
+    if violation is not None:
+        return GTReport(False, False, False, violation)
+    pair = _first_missing(masks, operator.and_)
+    return GTReport(True, (1 << n) - 1 in masks, pair is None,
+                    pair and f"missing intersection {fmt_mask(pair[0])} & "
+                             f"{fmt_mask(pair[1])}")
 
 
 def make_space(n: int, family: Iterable[int]) -> FiniteGT:
-    """Validating constructor; refuses families that are not GTs."""
+    """Validating constructor; refuses families that are not GTs.  It scans
+    the GT axioms only, as validate_gt does, and no meets."""
     masks = canonical_family(_check_masks(family, n))
-    report = validate_gt(masks, n)
-    if not report.is_gt:
-        raise PreconditionError(f"not a generalized topology: {report.violation}")
+    violation = _gt_violation(masks)
+    if violation is not None:
+        raise PreconditionError(f"not a generalized topology: {violation}")
     return FiniteGT(n, masks)
 
 
@@ -233,6 +229,20 @@ def clopen_separator(space: FiniteGT, a: int, b: int) -> Optional[int]:
     for c in space.clopens:
         if a & ~c == 0 and c & b == 0:
             return c
+    return None
+
+
+def least_open_cover(space: FiniteGT, a: int,
+                     b: int) -> Optional[tuple[int, int]]:
+    """Canonically least disjoint open pair (u, v) with a <= u and b <= v,
+    u taken first, or None.  It decides T2 on singleton pairs, and its
+    pairs fill the effective witness table of urysohn."""
+    for u in space.opens:
+        if a & ~u:
+            continue
+        for v in space.opens:
+            if b & ~v == 0 and not u & v:
+                return (u, v)
     return None
 
 
@@ -308,6 +318,8 @@ def generated_topology(space: FiniteGT) -> FiniteGT:
 
 
 def separation_profile(space: FiniteGT) -> SeparationProfile:
+    """T0/T1 by opens seeing one point of a pair and not the other, T2 by
+    least_open_cover on the pair, normality by clopen_defect."""
     n, opens = space.n, space.opens
     t0 = t1 = t2 = True
     for x in range(n):
@@ -315,24 +327,22 @@ def separation_profile(space: FiniteGT) -> SeparationProfile:
             bx, by = 1 << x, 1 << y
             sees_x = any(u & bx and not u & by for u in opens)
             sees_y = any(u & by and not u & bx for u in opens)
-            apart = any(u & bx and v & by and not u & v
-                        for u in opens for v in opens)
             t0 = t0 and (sees_x or sees_y)
             t1 = t1 and (sees_x and sees_y)
-            t2 = t2 and apart
+            t2 = t2 and least_open_cover(space, bx, by) is not None
     normal = clopen_defect(space) is None
     return SeparationProfile(t0, t1, t2, normal)
 
 
 # ---------------------------------------------------------------- census
 
-CENSUS_HARD_CAP = 5
+CENSUS_MAX_POINTS = 5      # 1,373,701 strong GTs on 5 points
 
 
-def enumerate_strong_gts(n: int, max_points: int = 4) -> Iterator[FiniteGT]:
-    """Every strong GT on n labeled points, exactly once, streamed in
-    lexicographic order of the inclusion vector over the canonical candidate
-    order (absent before present).
+def enumerate_strong_gts(n: int) -> Iterator[FiniteGT]:
+    """Every strong GT on n <= CENSUS_MAX_POINTS labeled points, exactly
+    once, streamed in lexicographic order of the inclusion vector over the
+    canonical candidate order (absent before present).
 
     Candidates are the proper nonempty subsets; the empty set and the ground
     set are members of every strong GT.  The search branches exclude-first
@@ -345,13 +355,9 @@ def enumerate_strong_gts(n: int, max_points: int = 4) -> Iterator[FiniteGT]:
     """
     if n < 0:
         raise InputError(f"point count must be >= 0, got {n}")
-    cap = min(max_points, CENSUS_HARD_CAP)
-    if n > cap:
-        raise ResourceError(
-            f"census at {n} points exceeds the configured maximum {cap}")
-    if n >= 5:
-        warnings.warn("census at 5 points enumerates about 1.4M families",
-                      stacklevel=2)
+    if n > CENSUS_MAX_POINTS:
+        raise ResourceError(f"census at {n} points exceeds the configured "
+                            f"maximum {CENSUS_MAX_POINTS}")
     full = (1 << n) - 1
     if full == 0:
         yield FiniteGT(0, (0,))
@@ -388,8 +394,9 @@ def enumerate_strong_gts(n: int, max_points: int = 4) -> Iterator[FiniteGT]:
     yield from dfs(0)
 
 
-def census_count(n: int, max_points: int = 4) -> int:
-    return sum(1 for _ in enumerate_strong_gts(n, max_points))
+def census_count(n: int) -> int:
+    """Number of strong GTs on n <= CENSUS_MAX_POINTS labeled points."""
+    return sum(1 for _ in enumerate_strong_gts(n))
 
 
 def sample_strong_gts(n: int, count: int, seed: int) -> list[FiniteGT]:

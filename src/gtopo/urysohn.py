@@ -36,8 +36,8 @@ from .errors import (InputError, NoExtension, PreconditionError,
                      ResourceError, check_target)
 from .rationals import dyadics_by_level, enum_unit_rationals
 from .spaces import (FiniteGT, canonical_key, clopen_defect, clopen_separator,
-                     closure, fmt_mask, points_from_mask, product,
-                     rect_factors, stretch_cols, stretch_rows)
+                     closure, fmt_mask, least_open_cover, points_from_mask,
+                     product, rect_factors, stretch_cols, stretch_rows)
 from .symsets import as_fraction
 
 # TET/GTET search every closed subspace's fiber structures; above this many
@@ -331,10 +331,6 @@ class PairLadder:
 
     entries: tuple[tuple[Fraction, tuple[int, int]], ...]
 
-    @property
-    def indices(self) -> tuple[Fraction, ...]:
-        return tuple(r for r, _ in self.entries)
-
 
 def _check_indices(indices) -> list[Fraction]:
     rs = [as_fraction(r) for r in indices]
@@ -518,7 +514,8 @@ class EffectiveWitness:
 def effective_witness(space: FiniteGT) -> Optional[EffectiveWitness]:
     """Build the canonical witness table on a normal space: empty members
     get the trivial pairs, every other pair the canonically least disjoint
-    open cover.  Returns None when some pair cannot be covered."""
+    open cover (spaces.least_open_cover).  Returns None when some pair
+    cannot be covered."""
     if not space.is_strong:
         raise PreconditionError("effective witnesses need a strong space")
     table = {}
@@ -532,21 +529,11 @@ def effective_witness(space: FiniteGT) -> Optional[EffectiveWitness]:
             elif b == 0:
                 table[(a, b)] = (space.full, 0)
             else:
-                cover = _least_open_cover(space, a, b)
+                cover = least_open_cover(space, a, b)
                 if cover is None:
                     return None
                 table[(a, b)] = cover
     return EffectiveWitness(table)
-
-
-def _least_open_cover(space, a, b) -> Optional[tuple[int, int]]:
-    for u in space.opens:
-        if a & ~u:
-            continue
-        for v in space.opens:
-            if b & ~v == 0 and not u & v:
-                return (u, v)
-    return None
 
 
 def combine_effective_witnesses(s1: FiniteGT, s2: FiniteGT,
@@ -662,11 +649,9 @@ def _aux_pair_ok(space, us, fs, i) -> bool:
 
 def _aux_side_conditions(space, us, fs, u, f) -> bool:
     """The auxiliary pair's differences against the family are open: U_j - f
-    when f <= U_j, and u - F_j when F_j <= u.  Both tests stay.  The second
-    decides on a 5-point space pinned in the tests, where a family passes
-    without it.  Nothing shows that clauses (i) and (ii) imply the first:
-    U_j - f is the meet of two opens, and a GT need not be closed under
-    meets."""
+    when f <= U_j, and u - F_j when F_j <= u.  Each test decides on its own:
+    the tests pin a 5-point space where a family passes without the second
+    and a 6-point space where one passes without the first."""
     for j in range(len(us)):
         if f & ~us[j] == 0 and (us[j] & ~f) not in space.open_set:
             return False

@@ -95,6 +95,21 @@ def test_props_refuses_large_space_up_front(files):
                            "refusing above 5 points\n")
 
 
+def test_props_refuses_by_point_count_before_validating(files, monkeypatch,
+                                                       capsys):
+    def validated(n, masks):
+        raise AssertionError("props validated a space it refuses")
+
+    monkeypatch.setattr(cli, "make_space", validated)
+    # six points and not a GT: refused for its size, never validated
+    path = files("big.json", {"points": 6, "open_sets": [[], [0], [1]]})
+    code = cli.main(["props", path])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == ("error: extension statements are exhaustive; "
+                   "refusing above 5 points\n")
+
+
 def test_props_refuses_long_u_normal_bound(files):
     path = files("p.json", PARTITION)
     proc = run_cli("props", path, "--u-normal-max", "65", expect=2)

@@ -8,7 +8,7 @@ import pytest
 from gtopo.errors import InputError
 from gtopo.pwmaps import (PiecewiseMap, constant_map, is_continuous_everywhere,
                           make_pwmap)
-from gtopo.symsets import below, interval, point
+from gtopo.symsets import ALL_REALS, below, interval, point
 
 RAMP = make_pwmap((0, 1), ((0, 0), (1, 0), (0, 1)), (0, 1))  # 0 / x / 1
 STEP = make_pwmap((0,), ((0, 0), (0, 1)), (0,))              # 0 on (-inf,0], 1 after
@@ -106,6 +106,8 @@ def test_equals_on():
     shifted = make_pwmap((0, 1), ((0, 0), (1, 0), (0, 1)), (0, F(1, 2)))
     assert not RAMP.equals_on(shifted, point(1))
     assert RAMP.equals_on(shifted, interval(0, 1, True, False))
+    # no cuts at all: the one gap is the whole line
+    assert constant_map(0).equals_on(constant_map(0), ALL_REALS)
 
 
 def test_continuity_everywhere():

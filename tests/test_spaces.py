@@ -1,4 +1,5 @@
 import operator
+import warnings
 
 import pytest
 
@@ -250,13 +251,13 @@ def test_census_stream_deterministic_and_canonical():
 
 
 def test_census_resource_limits():
-    with pytest.raises(ResourceError):
-        next(enumerate_strong_gts(5))
-    with pytest.raises(ResourceError):
-        next(enumerate_strong_gts(6, max_points=6))
-    with pytest.warns(UserWarning):
-        gen = enumerate_strong_gts(5, max_points=5)
-        assert next(gen).opens == (0, 0b11111)
+    with pytest.raises(ResourceError,
+                       match="census at 6 points exceeds the configured "
+                             "maximum 5"):
+        next(enumerate_strong_gts(6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert next(enumerate_strong_gts(5)).opens == (0, 0b11111)
 
 
 def test_sampler_deterministic_distinct_valid():

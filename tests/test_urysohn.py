@@ -405,6 +405,18 @@ def test_check_pair_ladder_clauses():
     typed = make_pair_ladder({F(1, 2): (0b01, 0b01)})
     rep = check_ladder(space(2, [], [0], [0, 1]), typed, 0, 0)
     assert not rep.ok and rep.clause == "(i)"  # {0} is not closed there
+    h = F(1, 2)
+    shut = make_pair_ladder({h: (0b10, 0b10)})  # {1} is closed, not open
+    assert check_ladder(space(2, [], [0], [0, 1]), shut, 0, 0) == CheckReport(
+        False, "(i)", "U_1/2 is not open")
+    assert check_ladder(DISCRETE2, typed, 0b10, 0) == CheckReport(
+        False, "(i)", "chain a <= U_1/2 <= F_1/2 broken")
+    # {0,1} minus F_1/4 = {0} leaves {1}, which is not open in SIERPINSKI3
+    gap = make_pair_ladder({F(1, 4): (0, 0b001), h: (0b011, 0b111)})
+    assert check_ladder(SIERPINSKI3, gap, 0, 0) == CheckReport(
+        False, "(ii)", "U_1/2 minus F_1/4 is not open")
+    assert check_ladder(DISCRETE2, good, 0b01, 0b10) == CheckReport(
+        False, "(iii)", "F_1/2 meets b")
 
 
 def test_check_ladder_rejects_other_types():
@@ -631,6 +643,13 @@ def test_u_family_label_and_shape_validation():
         UFamily((F(1, 2),), ())
     with pytest.raises(PreconditionError):
         validate_u_family(DISCRETE2, EMPTY_U_FAMILY, 0, b)
+    a3, b3 = m(0, n=3), m(2, n=3)
+    shut = UFamily((F(1, 2),), ((a3, a3),))     # {0} is closed, not open
+    assert validate_u_family(SIERPINSKI3, shut, a3, b3) == CheckReport(
+        False, "(i)", "pair 0 is not open-closed")
+    top = UFamily((F(1, 2),), ((m(0, 1, n=3), m(0, 1, 2, n=3)),))
+    assert validate_u_family(SIERPINSKI3, top, a3, b3) == CheckReport(
+        False, "(i)", "top closed set meets b")
 
 
 def test_u_family_extension_blocked():
@@ -716,6 +735,23 @@ def test_aux_difference_against_lower_closed_decides():
     fam = UFamily((F(1, 2), F(1, 3), F(2, 3)),
                   ((a, a), (a, m(0, 1, n=5)),
                    (m(0, 1, 4, n=5), m(0, 1, 2, 4, n=5))))
+    blocked = CheckReport(False, "(iii)", "no auxiliary pair for position 1")
+    assert validate_u_family(s, fam, a, b) == blocked
+    assert validate_family(s, fam, a, b) == blocked
+
+
+def test_aux_difference_from_family_open_decides():
+    """The family meets clauses (i) and (ii).  The only auxiliary pair for
+    the middle position is ({0,1,5}, {0,1,5}), and U_2 minus f = {2} is not
+    open, so clause (iii) fails there through the first side test alone;
+    without that test the family would pass."""
+    s = generated(6, m(0, n=6), m(1, n=6), m(4, n=6), m(1, 2, n=6),
+                  m(1, 5, n=6), m(2, 3, n=6))
+    assert len(s.opens) == 32
+    a, b = m(0, n=6), m(4, n=6)
+    fam = UFamily((F(1, 2), F(1, 3), F(2, 3)),
+                  ((a, a), (a, m(0, 5, n=6)),
+                   (m(0, 1, 2, 5, n=6), m(0, 1, 2, 3, 5, n=6))))
     blocked = CheckReport(False, "(iii)", "no auxiliary pair for position 1")
     assert validate_u_family(s, fam, a, b) == blocked
     assert validate_family(s, fam, a, b) == blocked
