@@ -85,8 +85,8 @@ class PiecewiseMap:
         """Breakpoint values plus finite one-sided limits at piece ends.
 
         Between consecutive criticals every open window (p,q) pulls back to a
-        set of one fixed shape, so these are the only parameters a continuity
-        check needs to probe around.
+        set of one fixed shape.  The window-sweep oracle in the tests probes
+        around these, and the benchmark counts them.
         """
         out = set(self.values)
         for k, (m, t) in enumerate(self.pieces):

@@ -20,10 +20,10 @@ Continuity targets:
 * gtaun: the ray GT itself; continuity means every ray preimage is open in
   the source.
 
-Both quantifiers are decided exactly, and without sweeping windows: taun
-continuity is read off the image (no three nonempty opens of the line are
-pairwise disjoint), gtaun continuity off one ray per critical value and per
-region between them, and Tietze extension off the frozen extension itself.
+Both are decided exactly in one pass over pieces and breakpoints: gtaun
+continuity is monotonicity plus continuity from the right (from both sides
+on gtn), taun continuity adds an image of at most two points, and Tietze
+extension is read off the frozen extension itself.
 """
 
 from bisect import bisect_left, bisect_right
@@ -151,53 +151,49 @@ def gul_witness(a: SymbolicSet, b: SymbolicSet, space: str) -> PiecewiseMap:
 
 # --- continuity -------------------------------------------------------------
 
-def _probe_values(f: PiecewiseMap) -> list[Fraction]:
-    """Critical values plus one representative inside every induced region."""
-    crit = f.criticals()
-    if not crit:
-        return [Fraction(0)]
-    out = [crit[0] - 1]
-    for c1, c2 in zip(crit, crit[1:]):
-        out.extend([c1, (c1 + c2) / 2])
-    out.extend([crit[-1], crit[-1] + 1])
-    return out
-
-
-def _window_continuous(f: PiecewiseMap, source: str) -> bool:
-    values = f.image().components
-    if len(values) > 2 or not all(c.is_singleton for c in values):
-        return False
-    if len(values) == 1:
-        return True
-    lo, hi = values[0].lo, values[1].lo
-    mid = (lo + hi) / 2
-    return (_is_open_form(f.preimage_open(lo - 1, mid), source)
-            and _is_open_form(f.preimage_open(mid, hi + 1), source))
+def _gtaun_continuous(f: PiecewiseMap, source: str) -> bool:
+    """Monotone, with v = R (and L = v on gtn) at every breakpoint."""
+    slopes = [m for m, _ in f.pieces]
+    up, down = min(slopes) >= 0, max(slopes) <= 0
+    for b, v, (ml, tl), (mr, tr) in zip(f.breakpoints, f.values, f.pieces,
+                                        f.pieces[1:]):
+        left, right = ml * b + tl, mr * b + tr
+        if v != right or (source == "gtn" and v != left):
+            return False
+        up, down = up and left <= v, down and left >= v
+    return up or down
 
 
 def check_continuity_sym(f: PiecewiseMap, source: str, target: str) -> bool:
     """Is f continuous from the source GT into the target?
 
-    taun (two-ends lemma): every nonempty open of gtn or gts holds a ray to
-    −∞ or to +∞, so no three of them are pairwise disjoint.  If f takes
-    three values, three disjoint windows around them have disjoint nonempty
-    preimages, and f is not continuous.  With at most two values a window
-    preimage is ∅, ℝ or a fiber, so f is continuous exactly when the window
-    preimage of each fiber is open.
+    With L, R the side limits of f at a breakpoint and v its value there, f
+    is gtaun-continuous exactly when it is monotone (every slope ≥ 0 and
+    L ≤ v at every breakpoint, or every slope ≤ 0 and L ≥ v) with v = R at
+    every breakpoint, and L = v too on gtn.  It is taun-continuous exactly
+    when in addition its image has at most two points.
 
-    gtaun (one probe per region): as the end q of a ray moves between two
-    consecutive critical values, each piece's solution set moves without
-    appearing, vanishing, merging or changing which ends it holds, so the
-    ray preimage keeps one shape, and being open depends only on the shape.
-    The critical values and one q between each pair of them (and one beyond
-    each end) therefore decide every ray.
+    1. taun ⇒ gtaun: every ray is a union of windows, and the source GT is
+       closed under unions.
+    2. A peak x < y < z gives a q with {f > q} holding y but neither x nor
+       z; a valley does the same with {f < q}.  Every nonempty open of gtn
+       or gts holding y holds a ray through x or through z, so f is monotone.
+    3. A monotone f pulls rays back to rays, some to (−∞,a] exactly when
+       v ≠ R at a, some to [a,∞) exactly when L ≠ v at a.  Neither is open
+       in gtn; in gts only (−∞,a] is not.
+    4. If f takes three values, disjoint windows around them have disjoint
+       nonempty preimages, but no three nonempty opens of the line are
+       pairwise disjoint.  With values c₁ < c₂ every window preimage is ∅,
+       ℝ, {f < mid} or {f > mid}.
     """
     _check_space(source)
     check_target(target)
-    if target == "taun":
-        return _window_continuous(f, source)
-    return all(_is_open_form(f.preimage_open(lo, hi), source)
-               for q in _probe_values(f) for lo, hi in ((None, q), (q, None)))
+    if not _gtaun_continuous(f, source):
+        return False
+    if target == "gtaun":
+        return True
+    values = f.image().components
+    return len(values) <= 2 and all(c.is_singleton for c in values)
 
 
 # --- Tietze-style extension off a closed set --------------------------------
@@ -221,7 +217,8 @@ def tietze_extend(p: SymbolicSet, f: PiecewiseMap, target: str) -> PiecewiseMap:
     gtn-open forms (∅, p, [a,c), (c,b], [a,c) ∪ (d,b] onto ∅, ℝ, (−∞,c),
     (c,∞), (−∞,c) ∪ (d,∞)), and restricting g to p gives f back.  So f is
     continuous on the subspace p exactly when g is continuous on gtn, and
-    the extension is accepted exactly then."""
+    the extension is accepted exactly then: for gtaun when f is monotone and
+    continuous on p, for taun when f is constant on p."""
     check_target(target)
     if not _is_closed_form(p, "gtn"):
         raise PreconditionError("p is not closed in gtn")

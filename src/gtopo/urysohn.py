@@ -428,7 +428,7 @@ def function_from_ladder(space: FiniteGT, ladder: Ladder,
     if not space.is_closed(b):
         raise PreconditionError(f"set {fmt_mask(b)} is not closed")
     rep = _check_single_ladder(space, ladder, 0, 0)
-    if rep.clause in ("open", "(i)"):
+    if not rep.ok:
         raise PreconditionError(f"invalid ladder: {rep.detail}")
     ent = ladder.entries
     values = []

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import gtopo.realline as realline
 from gtopo.errors import InputError, PreconditionError, ResourceError
 from gtopo.expressions import parse_set
-from gtopo.pwmaps import constant_map, is_continuous_everywhere, make_pwmap
+from gtopo.pwmaps import (PiecewiseMap, constant_map, is_continuous_everywhere,
+                          make_pwmap)
 from gtopo.realline import (LiftedWitness, OpenTriple, SymbolicWitness,
                             check_continuity_sym, classify, closure_sym,
                             disjoint_open_triple, effective_F, gul_witness,
@@ -351,6 +352,50 @@ def test_gtaun_probes_every_region(f, window, shown):
                     "open", "clopen")
         assert not check_continuity_sym(f, source, "gtaun")
         assert not sweep_continuous(f, source, "gtaun")
+
+
+# Maps at the edge of each clause of the one-pass decider, with their
+# verdicts on gtn → taun, gtn → gtaun, gts → taun, gts → gtaun.
+BOUNDARY_CASES = {
+    # 1 on (-inf,0), 0 on [0,inf): gts only, since L = v fails on gtn
+    "gts step down": (make_pwmap((0,), ((0, 1), (0, 0)), (0,)),
+                      (False, False, True, True)),
+    # 0 on (-inf,0], 1 on (0,inf): (-inf,0] = {f < 1/2} is open in neither
+    "step up at left limit": (make_pwmap((0,), ((0, 0), (0, 1)), (0,)),
+                              (False, False, False, False)),
+    # 0 up to 1, then falling: monotone with a flat piece
+    "flat then falling": (make_pwmap((1,), ((0, 0), (-1, 1)), (0,)),
+                          (False, True, False, True)),
+    # rising, flat, then falling at the far end: a plateau peak
+    "rise, flat, fall": (make_pwmap((0, 1), ((1, 0), (0, 0), (-1, 1)),
+                                    (0, 0)),
+                         (False, False, False, False)),
+    # 0, 1 on [0,1), 2 on [1,inf): monotone but three-valued
+    "gts staircase": (make_pwmap((0, 1), ((0, 0), (0, 1), (0, 2)), (1, 2)),
+                      (False, False, False, True)),
+    # 0 on (-inf,0), 1 on [0,inf): two values split by a gts clopen
+    "gts step up": (make_pwmap((0,), ((0, 0), (0, 1)), (1,)),
+                    (False, False, True, True)),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDARY_CASES)
+def test_continuity_boundary_cases(name):
+    f, expected = BOUNDARY_CASES[name]
+    got = tuple(check_continuity_sym(f, s, t) for s, t in PAIRS)
+    assert got == expected
+    assert got == tuple(sweep_continuous(f, s, t) for s, t in PAIRS)
+
+
+def test_continuity_reads_pieces_not_preimages(monkeypatch):
+    maps = continuity_corpus(61, 100)
+    expected = [[sweep_continuous(f, s, t) for s, t in PAIRS] for f in maps]
+
+    def refuse(*args):
+        raise AssertionError("preimage_open called")
+    monkeypatch.setattr(PiecewiseMap, "preimage_open", refuse)
+    assert [[check_continuity_sym(f, s, t) for s, t in PAIRS]
+            for f in maps] == expected
 
 
 @st.composite
