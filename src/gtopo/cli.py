@@ -26,10 +26,10 @@ from .expressions import (format_map, format_rational, format_set, parse_map,
 from .realline import (SPACES, check_continuity_sym, classify, closure_sym,
                        disjoint_open_triple, effective_F, gul_witness,
                        ladder_from_F, tietze_extend)
-from .spaces import (canonical_family, enumerate_strong_gts,
-                     generated_topology, make_space, mask_from_points,
-                     parse_space_dict, points_from_mask, product,
-                     separation_profile, space_to_dict, validate_gt)
+from .spaces import (canonical_family, census_count, check_census_points,
+                     enumerate_strong_gts, generated_topology, make_space,
+                     mask_from_points, parse_space_dict, points_from_mask,
+                     product, separation_profile, space_to_dict, validate_gt)
 from .urysohn import (STATEMENTS, check_extension_size, check_u_normal_length,
                       decide_gul_pair, decide_statement, decide_ul_pair,
                       effective_witness, is_u_normal)
@@ -152,6 +152,9 @@ _CENSUS_PROPS = {
 
 
 def _run_census(args):
+    """A bare count takes census_count, which enumerates no n-point space;
+    --where and --out stream the labeled DFS.  The size is refused before
+    the --out file is opened, so a refusal leaves that file as it was."""
     pred = None
     if args.where is not None:
         try:
@@ -160,16 +163,27 @@ def _run_census(args):
             raise InputError(f"unknown census property {args.where!r}; "
                              f"choose from {', '.join(sorted(_CENSUS_PROPS))}"
                              ) from None
+    if pred is None and args.out is None:
+        count = census_count(args.points)
+    else:
+        count = _stream_census(args.points, pred, args.out)
+    doc = {"verb": "census", "points": args.points, "where": args.where,
+           "count": count, "out": args.out}
+    return doc, 0
+
+
+def _stream_census(n, pred, out) -> int:
+    check_census_points(n)
     sink = None
-    if args.out is not None:
+    if out is not None:
         try:
-            sink = open(args.out, "w", encoding="utf-8")
+            sink = open(out, "w", encoding="utf-8")
         except OSError as e:
-            raise InputError(f"cannot write {args.out}: "
+            raise InputError(f"cannot write {out}: "
                              f"{e.strerror or e}") from None
     count = 0
     try:
-        for s in enumerate_strong_gts(args.points):
+        for s in enumerate_strong_gts(n):
             if pred is not None and not pred(s):
                 continue
             count += 1
@@ -179,9 +193,7 @@ def _run_census(args):
     finally:
         if sink is not None:
             sink.close()
-    doc = {"verb": "census", "points": args.points, "where": args.where,
-           "count": count, "out": args.out}
-    return doc, 0
+    return count
 
 
 # -------------------------------------------------------------- real verbs

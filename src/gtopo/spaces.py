@@ -9,6 +9,7 @@ is a pure function so census sweeps can memoize freely.
 """
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
@@ -339,6 +340,16 @@ def separation_profile(space: FiniteGT) -> SeparationProfile:
 CENSUS_MAX_POINTS = 5      # 1,373,701 strong GTs on 5 points
 
 
+def check_census_points(n: int) -> None:
+    """Refuse a census size before any work: InputError below 0 points,
+    ResourceError above CENSUS_MAX_POINTS."""
+    if n < 0:
+        raise InputError(f"point count must be >= 0, got {n}")
+    if n > CENSUS_MAX_POINTS:
+        raise ResourceError(f"census at {n} points exceeds the configured "
+                            f"maximum {CENSUS_MAX_POINTS}")
+
+
 def enumerate_strong_gts(n: int) -> Iterator[FiniteGT]:
     """Every strong GT on n <= CENSUS_MAX_POINTS labeled points, exactly
     once, streamed in lexicographic order of the inclusion vector over the
@@ -353,11 +364,7 @@ def enumerate_strong_gts(n: int) -> Iterator[FiniteGT]:
     every excluded candidate on the path lies earlier.  So the search keeps
     only which later candidates are forced.
     """
-    if n < 0:
-        raise InputError(f"point count must be >= 0, got {n}")
-    if n > CENSUS_MAX_POINTS:
-        raise ResourceError(f"census at {n} points exceeds the configured "
-                            f"maximum {CENSUS_MAX_POINTS}")
+    check_census_points(n)
     full = (1 << n) - 1
     if full == 0:
         yield FiniteGT(0, (0,))
@@ -395,8 +402,68 @@ def enumerate_strong_gts(n: int) -> Iterator[FiniteGT]:
 
 
 def census_count(n: int) -> int:
-    """Number of strong GTs on n <= CENSUS_MAX_POINTS labeled points."""
-    return sum(1 for _ in enumerate_strong_gts(n))
+    """Number of strong GTs on n <= CENSUS_MAX_POINTS labeled points, got
+    without enumerating any n-point space; enumerate_strong_gts stays the
+    enumeration path and the oracle for this count.
+
+    Split off the last point p and write X' = X - {p}.  A strong GT F on X
+    is exactly a pair (A, B) of families on X' such that A is a GT (holds
+    {} and is union-closed), B holds X' and is union-closed, and b | a is
+    in B for every a in A and b in B.  The pair of F is
+    A = {U in F : p not in U} and B = {U - {p} : p in U in F}.
+    - F to (A, B): both inherit union-closure, X in F puts X' in B, and
+      a | (b + p) in F puts b | a in B.
+    - (A, B) to F = A + {b + p : b in B}: F holds {} and X, and the unions
+      a | a', (b + p) | (b' + p) and a | (b + p) = (b | a) + p stay in F.
+    So the count is the sum over B of the number of GTs A inside
+    S(B) = {a <= X' : b | a in B for every b in B}.
+    - The Bs are each strong GT G on X' and, when X' is not empty, G - {}.
+    - S(G) = G: b = {} asks a in G, and union-closure gives the rest.
+      S(G - {}) holds G and is union-closed, so every S(B) is a strong GT
+      on X'.
+    - A GT A on X' is a strong GT on its union Y, so the As are the strong
+      GTs on |Y| points relabeled onto each Y <= X'.
+
+    Families on X' are bitmasks over its 2^(n-1) subsets.  The As are held
+    bit-sliced (slices[s] has bit j set when the j-th A holds subset s), so
+    the As inside S are those missing from every slice of a subset outside S.
+    """
+    check_census_points(n)
+    if n == 0:
+        return 1                        # the empty space
+    k = n - 1
+    top = (1 << k) - 1
+    smaller = [[h.opens for h in enumerate_strong_gts(j)] for j in range(n)]
+    slices = [0] * (1 << k)
+    total = 0
+    for y in range(top + 1):
+        points = points_from_mask(y)
+        # spread[m]: a subset m of 0..|Y|-1 relabeled onto Y
+        spread = [mask_from_points([points[i] for i in points_from_mask(m)],
+                                   k) for m in range(1 << len(points))]
+        for opens in smaller[len(points)]:
+            for u in opens:
+                slices[spread[u]] |= 1 << total
+            total += 1
+    groups: Counter[int] = Counter()
+    for opens in smaller[k]:
+        fam = sum(1 << u for u in opens)
+        groups[fam] += 1
+        if k:
+            # S(G - {}) holds G, so only the sets outside G are tested;
+            # opens[1:] are the nonempty opens of G
+            rest = opens[1:]
+            groups[fam | sum(1 << a for a in range(top + 1)
+                             if not fam >> a & 1
+                             and all(fam >> (b | a) & 1 for b in rest))] += 1
+    count = 0
+    for fam, mult in groups.items():
+        outside = 0
+        for s in range(top + 1):
+            if not fam >> s & 1:
+                outside |= slices[s]
+        count += mult * (total - outside.bit_count())
+    return count
 
 
 def sample_strong_gts(n: int, count: int, seed: int) -> list[FiniteGT]:

@@ -186,6 +186,46 @@ def test_census_out_round_trips(tmp_path):
         assert rep["is_gt"] is True and rep["is_strong"] is True
 
 
+def test_census_refusal_keeps_existing_out_file(tmp_path):
+    out = tmp_path / "keep.jsonl"
+    out.write_bytes(b"earlier bytes\n")
+    proc = run_cli("census", "--points", "6", "--out", str(out), expect=2)
+    assert proc.stderr == ("error: census at 6 points exceeds the configured "
+                           "maximum 5\n")
+    proc = run_cli("census", "--points", "-1", "--out", str(out), expect=2)
+    assert proc.stderr == "error: point count must be >= 0, got -1\n"
+    assert out.read_bytes() == b"earlier bytes\n"
+
+
+def test_census_count_enumerates_no_five_point_space(monkeypatch, capsys):
+    from gtopo import spaces
+
+    def guarded(enum):
+        def wrapper(n):
+            if n >= 5:
+                raise AssertionError(f"enumerated {n}-point spaces")
+            return enum(n)
+        return wrapper
+
+    monkeypatch.setattr(spaces, "enumerate_strong_gts",
+                        guarded(spaces.enumerate_strong_gts))
+    monkeypatch.setattr(cli, "enumerate_strong_gts",
+                        guarded(cli.enumerate_strong_gts))
+    assert cli.main(["census", "--points", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 1373701
+
+
+def test_census_count_agrees_with_the_streamed_paths(tmp_path):
+    out = tmp_path / "spaces.jsonl"
+    counted = run_json("census", "--points", "4")["count"]
+    streamed = run_json("census", "--points", "4", "--out", str(out))
+    assert counted == streamed["count"] == 2271
+    assert len(out.read_text().splitlines()) == 2271
+    # labeled topologies on 4 points (OEIS A000798)
+    assert run_json("census", "--points", "4",
+                    "--where", "topology")["count"] == 355
+
+
 def test_reports_are_byte_identical(files):
     f = files("p.json", PARTITION)
     a = run_cli("props", f).stdout

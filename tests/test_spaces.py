@@ -14,8 +14,9 @@ from gtopo.spaces import (
 
 from census_oracle import brute_force_strong_gts
 
-# frozen from the brute-force oracle over all candidate families
-ORACLE_COUNTS = {0: 1, 1: 1, 2: 4, 3: 45, 4: 2271}
+# frozen from the brute-force oracle over all candidate families (n <= 4)
+# and from the labeled DFS (n = 5)
+ORACLE_COUNTS = {0: 1, 1: 1, 2: 4, 3: 45, 4: 2271, 5: 1373701}
 
 
 def m(*points, n=None):
@@ -230,7 +231,9 @@ def test_profile_hierarchy_over_census():
 def test_census_counts_match_oracle():
     for n, expected in ORACLE_COUNTS.items():
         assert census_count(n) == expected
-        assert len(brute_force_strong_gts(n)) == expected
+        if n <= 4:
+            assert sum(1 for _ in enumerate_strong_gts(n)) == expected
+            assert len(brute_force_strong_gts(n)) == expected
 
 
 def test_census_families_match_oracle_exactly():
@@ -255,6 +258,13 @@ def test_census_resource_limits():
                        match="census at 6 points exceeds the configured "
                              "maximum 5"):
         next(enumerate_strong_gts(6))
+    with pytest.raises(ResourceError,
+                       match="^census at 6 points exceeds the configured "
+                             "maximum 5$"):
+        census_count(6)
+    with pytest.raises(InputError,
+                       match="^point count must be >= 0, got -1$"):
+        census_count(-1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert next(enumerate_strong_gts(5)).opens == (0, 0b11111)
