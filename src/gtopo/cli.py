@@ -8,6 +8,11 @@ violated preconditions and refused work, and 3 for an unexpected internal
 error (never 1, so a crash cannot pass for a negative answer).  ``--timing``
 writes elapsed wall time to stderr so stdout stays reproducible.
 
+``main(argv)`` may be called any number of times in one process.  The
+parser is built on the first call and reused; each verb's handler is looked
+up by name at dispatch, so a handler monkeypatched on this module takes
+effect.
+
 Finite spaces travel as JSON documents {"points": n, "open_sets": [[...]]}
 with integer point indices; ``census --out`` emits one such document per
 line.  Symbolic sets and piecewise maps use the text grammars from the
@@ -15,6 +20,7 @@ expressions module.  Rationals are rendered "p/q" everywhere.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -272,6 +278,8 @@ def _run_real_triple(args):
 # ------------------------------------------------------------------ parser
 
 def build_parser() -> argparse.ArgumentParser:
+    """The gtopo argument parser.  Each verb's parser carries the name of
+    its handler, not the function, as ``handler``."""
     ap = argparse.ArgumentParser(
         prog="gtopo",
         description="Decision procedures and symbolic constructions for "
@@ -282,13 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the GT axioms of a space file")
     p.add_argument("file")
-    p.set_defaults(func=_run_validate)
+    p.set_defaults(handler="_run_validate")
 
     p = sub.add_parser("props", help="full property report for a space file")
     p.add_argument("file")
     p.add_argument("--u-normal-max", type=int, default=3, metavar="K",
                    help="check U-normality chain lengths up to K (default 3)")
-    p.set_defaults(func=_run_props)
+    p.set_defaults(handler="_run_props")
 
     p = sub.add_parser("witness",
                        help="separating function for a disjoint closed pair")
@@ -298,16 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, metavar="POINTS",
                    help='second closed set as a JSON list, e.g. "[2]"')
     p.add_argument("--mode", required=True, choices=("ul", "gul"))
-    p.set_defaults(func=_run_witness)
+    p.set_defaults(handler="_run_witness")
 
     p = sub.add_parser("tau", help="topology generated by the space's opens")
     p.add_argument("file")
-    p.set_defaults(func=_run_tau)
+    p.set_defaults(handler="_run_tau")
 
     p = sub.add_parser("product", help="product of two strong spaces")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.set_defaults(func=_run_product)
+    p.set_defaults(handler="_run_product")
 
     p = sub.add_parser("census",
                        help="enumerate all strong GTs on n labeled points")
@@ -317,70 +325,77 @@ def build_parser() -> argparse.ArgumentParser:
                         f"({', '.join(sorted(_CENSUS_PROPS))})")
     p.add_argument("--out", metavar="FILE",
                    help="also write the spaces, one JSON document per line")
-    p.set_defaults(func=_run_census)
+    p.set_defaults(handler="_run_census")
 
     real = sub.add_parser("real", help="symbolic real-line operations")
     rsub = real.add_subparsers(dest="subverb", required=True,
                                metavar="subverb")
 
-    def real_parser(name, func, help):
+    def real_parser(name, handler, help):
         rp = rsub.add_parser(name, help=help)
-        rp.set_defaults(func=func)
+        rp.set_defaults(handler=handler)
         return rp
 
-    rp = real_parser("closure", _run_real_closure,
+    rp = real_parser("closure", "_run_real_closure",
                      "closure of a symbolic set")
     rp.add_argument("--set", required=True, metavar="EXPR")
     rp.add_argument("--space", required=True, choices=SPACES)
 
-    rp = real_parser("classify", _run_real_classify,
+    rp = real_parser("classify", "_run_real_classify",
                      "open/closed/clopen/neither verdict for a symbolic set")
     rp.add_argument("--set", required=True, metavar="EXPR")
     rp.add_argument("--space", required=True, choices=SPACES)
 
-    rp = real_parser("urysohn", _run_real_urysohn,
+    rp = real_parser("urysohn", "_run_real_urysohn",
                      "separating ramp for a disjoint closed pair with a gap")
     rp.add_argument("--a", required=True, metavar="EXPR")
     rp.add_argument("--b", required=True, metavar="EXPR")
     rp.add_argument("--space", required=True, choices=SPACES)
 
-    rp = real_parser("extend", _run_real_extend,
+    rp = real_parser("extend", "_run_real_extend",
                      "extend a function from a closed set to the whole line")
     rp.add_argument("--p", required=True, metavar="EXPR")
     rp.add_argument("--fn", required=True, metavar="MAP")
     rp.add_argument("--target", required=True, choices=TARGETS)
 
-    rp = real_parser("check-fn", _run_real_check_fn,
+    rp = real_parser("check-fn", "_run_real_check_fn",
                      "continuity verdict for a piecewise map")
     rp.add_argument("--fn", required=True, metavar="MAP")
     rp.add_argument("--source", required=True, choices=SPACES)
     rp.add_argument("--target", required=True, choices=TARGETS)
 
-    rp = real_parser("effective-f", _run_real_effective_f,
+    rp = real_parser("effective-f", "_run_real_effective_f",
                      "canonical disjoint open pair covering a closed pair")
     rp.add_argument("--a", required=True, metavar="EXPR")
     rp.add_argument("--b", required=True, metavar="EXPR")
     rp.add_argument("--space", required=True, choices=SPACES)
 
-    rp = real_parser("ladder", _run_real_ladder,
+    rp = real_parser("ladder", "_run_real_ladder",
                      "dyadic ladder of separating opens")
     rp.add_argument("--a", required=True, metavar="EXPR")
     rp.add_argument("--b", required=True, metavar="EXPR")
     rp.add_argument("--space", required=True, choices=SPACES)
     rp.add_argument("--level", type=int, required=True, metavar="K")
 
-    rp = real_parser("triple", _run_real_triple,
+    rp = real_parser("triple", "_run_real_triple",
                      "three disjoint preimage windows with verdicts")
     rp.add_argument("--fn", required=True, metavar="MAP")
 
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's result, built on the first call in a process and
+    shared by every later one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        doc, code = args.func(args)
+        doc, code = globals()[args.handler](args)
     except NoExtension as e:
         print(f"no extension: {e.reason}", file=sys.stderr)
         return 1

@@ -357,7 +357,7 @@ def ladder_from_F(a: SymbolicSet, b: SymbolicSet, space: str,
     if not isinstance(level, int) or level < 1:
         raise InputError(f"level must be a positive integer, got {level!r}")
     if level > 8:
-        raise ResourceError(f"level {level} would need {2 ** level - 1} rungs; "
+        raise ResourceError(f"level {level} would need 2^{level} - 1 rungs; "
                             "refusing beyond level 8")
     _check_closed_pair(a, b, space)
     if a.is_empty or b.is_empty:

@@ -146,6 +146,10 @@ class SeparationProfile:
 
 # ---------------------------------------------------------------- validation
 
+SPACE_MAX_POINTS = 4096     # so that 1 << n stays a small int
+SPACE_MAX_OPENS = 4096      # the opens of a 12-point powerset
+
+
 def _check_masks(masks: Iterable[int], n: int) -> list[int]:
     if n < 0:
         raise InputError(f"point count must be >= 0, got {n}")
@@ -159,6 +163,21 @@ def _check_masks(masks: Iterable[int], n: int) -> list[int]:
                 f"set {fmt_mask(m)} has a point outside 0..{n - 1}")
         out.append(m)
     return out
+
+
+def _canonical_masks(family: Iterable[int], n: int) -> tuple[int, ...]:
+    """The family checked against n and put in canonical order.  Above
+    SPACE_MAX_POINTS points or SPACE_MAX_OPENS distinct opens it is refused
+    with ResourceError, before the axiom scans, which are quadratic in the
+    number of opens."""
+    if n > SPACE_MAX_POINTS:
+        raise ResourceError(f"space has more than {SPACE_MAX_POINTS} points; "
+                            "refusing")
+    masks = canonical_family(_check_masks(family, n))
+    if len(masks) > SPACE_MAX_OPENS:
+        raise ResourceError(f"family has {len(masks)} distinct opens, above "
+                            f"{SPACE_MAX_OPENS}; refusing")
+    return masks
 
 
 def _gt_violation(masks: tuple[int, ...]) -> Optional[str]:
@@ -175,9 +194,11 @@ def validate_gt(family: Iterable[int], n: int) -> GTReport:
     violation names the first failed axiom in canonical scan order: the
     missing empty set, then the first missing pairwise union (make_space
     runs the same scan), then (for topology only) the first missing
-    pairwise intersection.
+    pairwise intersection.  Spaces of more than SPACE_MAX_POINTS points or
+    SPACE_MAX_OPENS distinct opens are refused with ResourceError before any
+    scan.
     """
-    masks = canonical_family(_check_masks(family, n))
+    masks = _canonical_masks(family, n)
     violation = _gt_violation(masks)
     if violation is not None:
         return GTReport(False, False, False, violation)
@@ -188,9 +209,10 @@ def validate_gt(family: Iterable[int], n: int) -> GTReport:
 
 
 def make_space(n: int, family: Iterable[int]) -> FiniteGT:
-    """Validating constructor; refuses families that are not GTs.  It scans
-    the GT axioms only, as validate_gt does, and no meets."""
-    masks = canonical_family(_check_masks(family, n))
+    """Validating constructor; refuses families that are not GTs, and, as
+    validate_gt does, oversized ones before any scan.  It scans the GT
+    axioms only, as validate_gt does, and no meets."""
+    masks = _canonical_masks(family, n)
     violation = _gt_violation(masks)
     if violation is not None:
         raise PreconditionError(f"not a generalized topology: {violation}")

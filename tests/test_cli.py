@@ -1,6 +1,9 @@
 """End-to-end CLI checks: exit codes, report shapes, byte determinism."""
 
+import argparse
 import json
+import os
+import re
 import subprocess
 import sys
 import time
@@ -8,12 +11,17 @@ import time
 import pytest
 
 from gtopo import cli
+from gtopo.errors import NoExtension
 
 DIAMOND = {"points": 3, "open_sets": [[], [0, 1], [1, 2], [0, 1, 2]]}
 PARTITION = {"points": 4, "open_sets": [[], [0, 1], [2, 3], [0, 1, 2, 3]]}
 SIERPINSKI = {"points": 2, "open_sets": [[], [0], [0, 1]]}
 INDISCRETE2 = {"points": 2, "open_sets": [[], [0, 1]]}
 NOT_A_GT = {"points": 3, "open_sets": [[], [0, 1], [1, 2]]}
+# 4,097 opens, one above the limit: every subset of points 0..11, and {12}
+MANY_OPENS = {"points": 13,
+              "open_sets": [[p for p in range(12) if m >> p & 1]
+                            for m in range(1 << 12)] + [[12]]}
 
 RAMP_TEXT = "on (-inf,1): 0*x+0; at 1: 0; on (1,2): 1*x-1; at 2: 1; on (2,inf): 0*x+1"
 
@@ -108,6 +116,37 @@ def test_props_refuses_by_point_count_before_validating(files, monkeypatch,
     assert (code, out) == (2, "")
     assert err == ("error: extension statements are exhaustive; "
                    "refusing above 5 points\n")
+
+
+def test_families_above_max_opens_exit_2(files, capsys):
+    many = files("many.json", MANY_OPENS)
+    for argv in (["validate", many], ["tau", many], ["product", many, many],
+                 ["witness", many, "--a", "[0]", "--b", "[1]",
+                  "--mode", "gul"]):
+        start = time.perf_counter()
+        code = cli.main(argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, *capsys.readouterr()) == (
+            2, "", "error: family has 4097 distinct opens, above 4096; "
+                   "refusing\n")
+
+
+def test_huge_counts_are_refused_without_being_used(tmp_path, capsys):
+    huge = "4" * 4300           # at the digit limit: 2 ** huge cannot be built
+    path = tmp_path / "huge.json"
+    path.write_text('{"points": ' + huge + ', "open_sets": [[]]}')
+    cases = (
+        (["validate", str(path)],
+         "error: space has more than 4096 points; refusing\n"),
+        (["real", "ladder", "--a", "[0,1]", "--b", "[2,3]", "--space", "gtn",
+          "--level", huge],
+         f"error: level {huge} would need 2^{huge} - 1 rungs; "
+         "refusing beyond level 8\n"))
+    for argv, message in cases:
+        start = time.perf_counter()
+        code = cli.main(argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, *capsys.readouterr()) == (2, "", message)
 
 
 def test_props_refuses_long_u_normal_bound(files):
@@ -379,3 +418,108 @@ def test_unexpected_exception_exits_3(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err == "internal error: ZeroDivisionError: planted\n"
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert cli.main(["census", "--points", "2"]) == 0
+    first = len(built)
+    assert cli.main(["real", "classify", "--set", "[0,1]",
+                     "--space", "gtn"]) == 0
+    assert cli.main(["real", "closure", "--set", "(0,1)",
+                     "--space", "gts"]) == 0
+    capsys.readouterr()
+    assert len(built) == first
+
+
+def _planted_no_extension(args):
+    raise NoExtension("planted reason")
+
+
+# Patched into the fresh process the same way the in-process call patches it.
+_PLANTED_SCRIPT = (
+    "import sys\n"
+    "from gtopo import cli\n"
+    "from gtopo.errors import NoExtension\n"
+    "def planted(args):\n"
+    "    raise NoExtension('planted reason')\n"
+    "cli._run_real_triple = planted\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n")
+
+
+def test_reused_parser_leaks_no_state(files, tmp_path, monkeypatch, capsys):
+    """Every verb and every exit path, in-process in one order, again, and
+    reversed, each matching a fresh process on stdout, stderr and exit."""
+    monkeypatch.setenv("COLUMNS", "80")    # help is wrapped to this width
+    diamond, partition = files("d.json", DIAMOND), files("p.json", PARTITION)
+    gap = ["--a", "[0,1]", "--b", "[2,3]", "--space", "gtn"]
+    calls = [
+        (["validate", diamond], 0),
+        (["validate", files("n.json", NOT_A_GT)], 0),
+        (["props", partition], 0),
+        (["props", diamond, "--u-normal-max", "2"], 0),
+        (["witness", partition, "--a", "[0,1]", "--b", "[2,3]",
+          "--mode", "gul"], 0),
+        (["witness", diamond, "--a", "[0]", "--b", "[2]", "--mode", "ul"], 1),
+        (["tau", diamond], 0),
+        (["product", files("s.json", SIERPINSKI),
+          files("i.json", INDISCRETE2)], 0),
+        (["census", "--points", "3"], 0),
+        (["census", "--points", "3", "--where", "normal",
+          "--out", str(tmp_path / "c.jsonl")], 0),
+        (["real", "closure", "--set", "(0,1)", "--space", "gts"], 0),
+        (["real", "classify", "--set", "[0,1)", "--space", "gts"], 0),
+        (["real", "urysohn", *gap], 0),
+        (["real", "extend", "--p", "[0,2]", "--fn", "on (-inf,inf): 1/2*x+0",
+          "--target", "gtaun"], 0),
+        (["real", "check-fn", "--fn", RAMP_TEXT, "--source", "gtn",
+          "--target", "taun"], 0),
+        (["real", "effective-f", *gap], 0),
+        (["real", "ladder", *gap, "--level", "2"], 0),
+        (["real", "triple", "--fn", RAMP_TEXT], 0),
+        (["--timing", "real", "ladder", *gap, "--level", "3"], 0),
+        (["frobnicate"], 2),
+        (["real", "classify", "--set", "[0,1]", "--space", "metric"], 2),
+        (["props"], 2),
+        (["--help"], 0),
+        (["real", "ladder", "--help"], 0),
+        (["props", partition, "--u-normal-max", "65"], 2),
+        (["real", "ladder", *gap, "--level", "9"], 2),
+        (["validate", files("many.json", MANY_OPENS)], 2),
+        (["real", "classify", "--set", "[0,1", "--space", "gtn"], 2),
+        (["real", "triple", "--fn", RAMP_TEXT], 1),    # planted NoExtension
+    ]
+    planted = len(calls) - 1
+
+    def masked(err):
+        return re.sub(r"elapsed: [0-9.]+ ms", "elapsed: _ ms", err)
+
+    env = {**os.environ, "COLUMNS": "80"}
+    fresh = []
+    for i, (argv, _) in enumerate(calls):
+        head = (["-c", _PLANTED_SCRIPT] if i == planted
+                else ["-m", "gtopo.cli"])
+        proc = subprocess.run([sys.executable, *head, *argv],
+                              capture_output=True, text=True, env=env)
+        fresh.append((proc.stdout, masked(proc.stderr), proc.returncode))
+
+    order = list(range(len(calls)))
+    for i in order + order + order[::-1]:
+        argv, expect = calls[i]
+        with monkeypatch.context() as m:
+            if i == planted:
+                m.setattr(cli, "_run_real_triple", _planted_no_extension)
+            try:
+                code = cli.main(argv)
+            except SystemExit as e:
+                code = e.code
+        out, err = capsys.readouterr()
+        assert (out, masked(err), code) == fresh[i], argv
+        assert code == expect, argv

@@ -1,14 +1,15 @@
 import operator
+import time
 import warnings
 
 import pytest
 
 from gtopo.errors import InputError, PreconditionError, ResourceError
 from gtopo.spaces import (
-    FiniteGT, canonical_key, census_count, close_under, closure,
-    enumerate_strong_gts, generated_topology, interior, make_space,
-    mask_from_points, parse_space_dict, points_from_mask, product,
-    sample_strong_gts, separation_profile, space_to_dict, subspace,
+    SPACE_MAX_OPENS, SPACE_MAX_POINTS, FiniteGT, canonical_key, census_count,
+    close_under, closure, enumerate_strong_gts, generated_topology, interior,
+    make_space, mask_from_points, parse_space_dict, points_from_mask,
+    product, sample_strong_gts, separation_profile, space_to_dict, subspace,
     validate_gt,
 )
 
@@ -64,6 +65,45 @@ def test_validate_point_out_of_range():
 def test_make_space_rejects_non_gt():
     with pytest.raises(PreconditionError):
         make_space(3, [0, 0b011, 0b110])
+
+
+def test_families_above_max_opens_are_refused_before_the_scan(monkeypatch):
+    from gtopo import spaces
+
+    def scanned(masks):
+        raise AssertionError("scanned a refused family")
+
+    monkeypatch.setattr(spaces, "_gt_violation", scanned)
+    over = list(range(SPACE_MAX_OPENS + 1))     # 4,097 opens on 13 points
+    start = time.perf_counter()
+    for build in (validate_gt, lambda family, n: make_space(n, family)):
+        with pytest.raises(ResourceError) as e:
+            build(over, 13)
+        assert str(e.value) == ("family has 4097 distinct opens, above 4096; "
+                                "refusing")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_family_at_max_opens_is_scanned():
+    # 4,096 distinct opens, each listed twice, and no empty set
+    at_limit = list(range(1, SPACE_MAX_OPENS + 1)) * 2
+    assert SPACE_MAX_OPENS == 4096
+    assert validate_gt(at_limit, 13).violation == "missing empty set"
+    with pytest.raises(PreconditionError,
+                       match="not a generalized topology: missing empty set"):
+        make_space(13, at_limit)
+
+
+def test_point_count_is_bounded_before_any_mask_is_built():
+    huge = 10 ** 4000           # 1 << huge cannot be built
+    for n in (SPACE_MAX_POINTS + 1, huge):
+        for build in (validate_gt, lambda family, n: make_space(n, family)):
+            with pytest.raises(ResourceError,
+                               match="^space has more than 4096 points; "
+                                     "refusing$"):
+                build([0], n)
+    last = 1 << (SPACE_MAX_POINTS - 1)
+    assert validate_gt([0, last], SPACE_MAX_POINTS).is_gt
 
 
 # ---------------------------------------------------------------- closure
