@@ -32,10 +32,10 @@ from .expressions import (format_map, format_rational, format_set, parse_map,
 from .realline import (SPACES, check_continuity_sym, classify, closure_sym,
                        disjoint_open_triple, effective_F, gul_witness,
                        ladder_from_F, tietze_extend)
-from .spaces import (canonical_family, census_count, check_census_points,
-                     enumerate_strong_gts, generated_topology, make_space,
-                     mask_from_points, parse_space_dict, points_from_mask,
-                     product, separation_profile, space_to_dict, validate_gt)
+from .spaces import (census_count, check_census_points, enumerate_strong_gts,
+                     generated_topology, make_space, mask_from_points,
+                     parse_space_dict, points_from_mask, product,
+                     separation_profile, space_to_dict, validate_gt)
 from .urysohn import (STATEMENTS, check_extension_size, check_u_normal_length,
                       decide_gul_pair, decide_statement, decide_ul_pair,
                       effective_witness, is_u_normal)
@@ -75,10 +75,9 @@ def _parse_point_set(text: str, n: int, what: str) -> int:
 def _run_validate(args):
     n, masks = parse_space_dict(_load_doc(args.file))
     rep = validate_gt(masks, n)
-    fam = canonical_family(masks)
     doc = {"verb": "validate",
            "input": {"file": args.file, "points": n,
-                     "open_sets": [points_from_mask(m) for m in fam]},
+                     "open_sets": [points_from_mask(m) for m in rep.family]},
            "report": {"is_gt": rep.is_gt, "is_strong": rep.is_strong,
                       "is_topology": rep.is_topology,
                       "violation": rep.violation}}

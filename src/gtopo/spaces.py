@@ -31,13 +31,13 @@ def mask_from_points(points: Iterable[int], n: int) -> int:
 
 
 def points_from_mask(mask: int) -> list[int]:
+    """The points of mask in increasing order; the walk visits only the set
+    bits, so a singleton on thousands of points costs one step."""
     out = []
-    p = 0
     while mask:
-        if mask & 1:
-            out.append(p)
-        mask >>= 1
-        p += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -113,6 +113,12 @@ class FiniteGT:
     def clopens(self) -> tuple[int, ...]:
         return tuple(m for m in self.opens if m in self.closed_set)
 
+    @cached_property
+    def defect(self) -> Optional[tuple[int, int]]:
+        """clopen_defect of the space, scanned once and shared by every
+        decider that rests on clopen separation."""
+        return clopen_defect(self)
+
     @property
     def is_strong(self) -> bool:
         return self.full in self.open_set
@@ -134,6 +140,7 @@ class GTReport:
     is_strong: bool
     is_topology: bool
     violation: str | None
+    family: tuple[int, ...]     # the distinct masks, canonical order
 
 
 @dataclass(frozen=True)
@@ -196,16 +203,16 @@ def validate_gt(family: Iterable[int], n: int) -> GTReport:
     runs the same scan), then (for topology only) the first missing
     pairwise intersection.  Spaces of more than SPACE_MAX_POINTS points or
     SPACE_MAX_OPENS distinct opens are refused with ResourceError before any
-    scan.
+    scan.  The report carries the family it scanned, sorted once.
     """
     masks = _canonical_masks(family, n)
     violation = _gt_violation(masks)
     if violation is not None:
-        return GTReport(False, False, False, violation)
+        return GTReport(False, False, False, violation, masks)
     pair = _first_missing(masks, operator.and_)
     return GTReport(True, (1 << n) - 1 in masks, pair is None,
                     pair and f"missing intersection {fmt_mask(pair[0])} & "
-                             f"{fmt_mask(pair[1])}")
+                             f"{fmt_mask(pair[1])}", masks)
 
 
 def make_space(n: int, family: Iterable[int]) -> FiniteGT:
@@ -342,7 +349,8 @@ def generated_topology(space: FiniteGT) -> FiniteGT:
 
 def separation_profile(space: FiniteGT) -> SeparationProfile:
     """T0/T1 by opens seeing one point of a pair and not the other, T2 by
-    least_open_cover on the pair, normality by clopen_defect."""
+    least_open_cover on the pair, normality by the space's cached
+    clopen defect."""
     n, opens = space.n, space.opens
     t0 = t1 = t2 = True
     for x in range(n):
@@ -353,8 +361,7 @@ def separation_profile(space: FiniteGT) -> SeparationProfile:
             t0 = t0 and (sees_x or sees_y)
             t1 = t1 and (sees_x and sees_y)
             t2 = t2 and least_open_cover(space, bx, by) is not None
-    normal = clopen_defect(space) is None
-    return SeparationProfile(t0, t1, t2, normal)
+    return SeparationProfile(t0, t1, t2, space.defect is None)
 
 
 # ---------------------------------------------------------------- census

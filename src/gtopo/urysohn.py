@@ -17,25 +17,29 @@ the statements collapse onto clopens:
 - a `taun`-continuous fiber structure is a partition into clopens;
 - a `gtaun`-continuous fiber structure is a strict chain of clopens.
 
+So one scan, the clopen defect (`spaces.clopen_defect`, cached once per
+space as `FiniteGT.defect`), decides normality, UL, GUL and effective
+normality: a witness table exists exactly when there is no defect.  GTET
+walks each closed set's clopen chains in one fused search that carries
+the clopens of the space still able to trace them.
+
 Chain normality rests on the same kernel.  A pair with a clopen separator c
 has the family (c, c), ..., (c, c) of every length; a pair without one
 needs a strictly rising chain a < U_0 < F_0 < ... < F_n < X-b < X, hence
 2n+5 points, for a family of n+1 pairs, so the chain-family search runs
 only on the pairs with no clopen separator and only where such a chain fits
-(never on 6 points or fewer).
+(never on 6 points or fewer, where the blocking pair is the defect).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from operator import or_
 from typing import Iterable, Iterator, Optional
 
 from .errors import (InputError, NoExtension, PreconditionError,
                      ResourceError, check_target)
 from .rationals import dyadics_by_level, enum_unit_rationals
-from .spaces import (FiniteGT, canonical_key, clopen_defect, clopen_separator,
+from .spaces import (FiniteGT, canonical_key, clopen_separator,
                      closure, fmt_mask, least_open_cover, points_from_mask,
                      product, rect_factors, stretch_cols, stretch_rows)
 from .symsets import as_fraction
@@ -196,14 +200,13 @@ STATEMENTS = ("UL", "GUL", "TET", "GTET")
 def decide_statement(space: FiniteGT, statement: str) -> StatementReport:
     """Decide one of the four separation statements exactly.
 
-    UL and GUL fail at the first disjoint closed pair that the pair deciders
-    cannot separate, which is the first pair with no clopen separator.  The
-    extension statements take every closed set a and every continuous fiber
-    structure on its subspace, and ask for a continuous fiber structure on
-    the whole space whose trace is the given one.  Both sides are built from
-    clopens: on the subspace its trace-clopens are listed directly, and on
-    the whole space a depth-first search looks for clopens with the wanted
-    traces (nested ones for GTET, a partition for TET).
+    UL and GUL fail at the space's clopen defect, the first disjoint closed
+    pair that the pair deciders cannot separate; it is scanned once per
+    space (FiniteGT.defect).  The extension statements take every closed
+    set a and every continuous fiber structure on its subspace, and ask for
+    a continuous fiber structure on the whole space whose trace is the given
+    one; the counterexample is the first structure, in the order of
+    first_unlifted_structure, that has none.
     """
     st = statement.upper()
     if st not in STATEMENTS:
@@ -211,22 +214,41 @@ def decide_statement(space: FiniteGT, statement: str) -> StatementReport:
     if not space.is_strong:
         raise PreconditionError("statements are decided on strong spaces")
     if st in ("UL", "GUL"):
-        pair = clopen_defect(space)
+        pair = space.defect
         return StatementReport(st, pair is None, pair=pair)
     check_extension_size(space.n)
-    structures, extends = ((_clopen_partitions, _extends_partition)
-                           if st == "TET" else
-                           (_clopen_chains, _extends_chain))
+    ce = first_unlifted_structure(space, st)
+    return StatementReport(st, ce is None, counterexample=ce)
+
+
+def first_unlifted_structure(space: FiniteGT, statement: str
+                             ) -> Optional[tuple[int, tuple[tuple[int, Fraction], ...]]]:
+    """The TET or GTET counterexample of a strong space, or None; no size
+    check (decide_statement refuses above EXTENSION_MAX_POINTS first).
+
+    Closed sets a are taken in canonical order, except the empty set and
+    the whole space, where every structure lifts to itself.  The structures
+    on a are built from its trace-clopens in descending order, so the
+    counterexample is the first structure in lexicographic order of
+    descending blocks.  GTET walks the clopen chains on a in that order in
+    one fused search (_first_unlifted_chain).  TET takes the clopen
+    partitions of a in turn, each with its own depth-first search for a
+    clopen partition of the space that traces it: on the 4- and 5-point
+    spaces of the props workload that is faster than a fused walk.
+    """
     for a in space.closeds:
+        if a == 0 or a == space.full:
+            continue
         traces = {u & a for u in space.opens}
-        # trace-clopens of the subspace a, descending: the counterexample is
-        # the first structure in lexicographic order of descending blocks
         tclopens = sorted((c for c in traces if a ^ c in traces), reverse=True)
-        for part in structures(tclopens, a):
-            if not extends(space, a, part):
-                return StatementReport(st, False,
-                                       counterexample=(a, _partition_values(part)))
-    return StatementReport(st, True)
+        if statement == "GTET":
+            part = _first_unlifted_chain(space, a, tclopens)
+        else:
+            part = next((p for p in _clopen_partitions(tclopens, a)
+                         if not _extends_partition(space, a, p)), None)
+        if part is not None:
+            return a, _partition_values(part)
+    return None
 
 
 def check_extension_size(n: int) -> None:
@@ -243,18 +265,52 @@ def check_u_normal_length(n_max: int) -> None:
                             f"{U_NORMAL_MAX_LENGTH}; refusing")
 
 
-def _clopen_chains(clopens, region: int,
-                   prefix: int = 0) -> Iterator[tuple[int, ...]]:
-    """Ordered partitions of region whose prefix unions are among the given
-    clopens of region, blocks tried in the order of the clopens; these are
-    its gtaun-continuous fiber structures."""
-    if prefix == region:
-        yield ()
-        return
-    for c in clopens:
-        if c & prefix == prefix and c != prefix:
-            for rest in _clopen_chains(clopens, region, c):
-                yield (c ^ prefix, *rest)
+def _first_unlifted_chain(space: FiniteGT, a: int,
+                          tclopens: list[int]) -> Optional[tuple[int, ...]]:
+    """First gtaun-continuous fiber structure on the subspace a that no
+    clopen chain of the space traces, or None.
+
+    A structure is a chain of trace-clopens 0 < p_1 < ... < p_k = a, built
+    by a depth-first walk that extends the prefix p by each trace-clopen
+    above it, in the order of tclopens.  It lifts when there are nested
+    clopens D_1 <= ... <= D_(k-1) of the space with D_j & a = p_j, so the
+    walk carries the reach of its prefix: the clopens D with D & a = p that
+    contain a clopen of the reach one step back (the empty set at the
+    root).  A chain lifts exactly when no step empties the reach.  What is
+    left to decide below a node depends only on (p, reach), so a node whose
+    subtree holds no failure is remembered and skipped when met again.
+    The first empty reach marks the first unlifted chain in walk order: its
+    first completion, because a leads tclopens, is the one block a - p.
+    """
+    tracing = {c: [] for c in tclopens}
+    for d in space.clopens:
+        tracing[d & a].append(d)
+    lifted = set()
+    blocks: list[int] = []
+
+    def fails(prefix: int, reach: tuple[int, ...]) -> bool:
+        if prefix == a or (prefix, reach) in lifted:
+            return False
+        for c in tclopens:
+            if c & prefix != prefix or c == prefix:
+                continue
+            blocks.append(c ^ prefix)
+            nxt = []
+            for d in tracing[c]:
+                for r in reach:
+                    if d & r == r:
+                        nxt.append(d)
+                        break
+            if not nxt:
+                blocks.append(a ^ c)
+                return True
+            if fails(c, tuple(nxt)):
+                return True
+            blocks.pop()
+        lifted.add((prefix, reach))
+        return False
+
+    return tuple(blocks) if fails(0, (0,)) else None
 
 
 def _clopen_partitions(clopens, region: int) -> Iterator[tuple[int, ...]]:
@@ -270,20 +326,6 @@ def _clopen_partitions(clopens, region: int) -> Iterator[tuple[int, ...]]:
         if c & low and c & ~region == 0:
             for rest in _clopen_partitions(clopens, region ^ c):
                 yield (c, *rest)
-
-
-def _extends_chain(space: FiniteGT, a: int, part: tuple[int, ...]) -> bool:
-    """Nested clopens D_1 <= ... <= D_{k-1} of the space with D_j & a the
-    j-th prefix union of part, i.e. a clopen chain tracing part on a."""
-    prefixes = list(accumulate(part, or_))[:-1]
-
-    def dfs(j: int, floor: int) -> bool:
-        if j == len(prefixes):
-            return True
-        return any(dfs(j + 1, d) for d in space.clopens
-                   if d & floor == floor and d & a == prefixes[j])
-
-    return dfs(0, 0)
 
 
 def _extends_partition(space: FiniteGT, a: int, part: tuple[int, ...]) -> bool:
@@ -514,10 +556,15 @@ class EffectiveWitness:
 def effective_witness(space: FiniteGT) -> Optional[EffectiveWitness]:
     """Build the canonical witness table on a normal space: empty members
     get the trivial pairs, every other pair the canonically least disjoint
-    open cover (spaces.least_open_cover).  Returns None when some pair
-    cannot be covered."""
+    open cover (spaces.least_open_cover).  Returns None, before any cover
+    is sought, when the space has a clopen defect: a table exists exactly
+    when every nonempty disjoint closed pair has a disjoint open cover,
+    which is normality, and on a finite strong GT normality is clopen
+    separation, so on a normal space every cover is found."""
     if not space.is_strong:
         raise PreconditionError("effective witnesses need a strong space")
+    if space.defect is not None:
+        return None
     table = {}
     closeds = space.closeds
     for a in closeds:
@@ -529,10 +576,7 @@ def effective_witness(space: FiniteGT) -> Optional[EffectiveWitness]:
             elif b == 0:
                 table[(a, b)] = (space.full, 0)
             else:
-                cover = least_open_cover(space, a, b)
-                if cover is None:
-                    return None
-                table[(a, b)] = cover
+                table[(a, b)] = least_open_cover(space, a, b)
     return EffectiveWitness(table)
 
 
@@ -709,23 +753,28 @@ def is_u_normal(space: FiniteGT, n_max: int = 3) -> UNormalReport:
     a < U_0 < F_0 < ... < F_n < X-b < X, because an equality would make a,
     some U_i or F_i, or F_n clopen, so it needs 2n+5 points.  Only the
     pairs with no clopen separator can fail, and they are searched only
-    when n >= 1 and the space has room for the strict chain.
+    when n >= 1 and the space has room for the strict chain.  Where no
+    search runs the first failing pair is the space's cached clopen defect
+    (separation is symmetric, so the first hard pair has a before b), and
+    the full list of hard pairs is built only on 7 points or more.
     """
     if not space.is_strong:
         raise PreconditionError("chain normality needs a strong space")
     if n_max < 0:
         raise InputError("n_max must be >= 0")
     check_u_normal_length(n_max)
-    hard = [(x, y) for x in space.closeds for y in space.closeds
-            if x and y and not x & y and clopen_separator(space, x, y) is None]
+    defect = space.defect
+    hard = ([(x, y) for x in space.closeds for y in space.closeds
+             if x and y and not x & y and clopen_separator(space, x, y) is None]
+            if defect is not None and space.n >= 7 else [])
     blocking = []
     for n in range(n_max + 1):
-        if n >= 1 and space.n >= 2 * n + 5:
+        if hard and n >= 1 and space.n >= 2 * n + 5:
             blocking.append(next((p for p in hard
                                   if not _chain_family_exists(space, *p, n)),
                                  None))
         else:
-            blocking.append(hard[0] if hard else None)
+            blocking.append(defect)
     return UNormalReport(n_max, tuple(b is None for b in blocking),
                          tuple(blocking))
 

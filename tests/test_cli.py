@@ -61,6 +61,22 @@ def test_validate_good_and_bad_spaces(files):
     assert "union" in bad["report"]["violation"]
 
 
+def test_validate_loads_thousands_of_points_in_linear_time(files, capsys):
+    # the empty set and 4,095 singletons on 4,096 points: at the cap on
+    # points and on opens, and each mask's one point sits far up its bits
+    doc = {"points": 4096, "open_sets": [[p] for p in range(4094, -1, -1)]
+           + [[]]}
+    path = files("singletons.json", doc)
+    start = time.perf_counter()
+    code = cli.main(["validate", path])
+    assert time.perf_counter() - start < 1.0
+    out, _ = capsys.readouterr()
+    rep = json.loads(out)
+    assert code == 0
+    assert rep["input"]["open_sets"] == [[]] + [[p] for p in range(4095)]
+    assert rep["report"]["violation"] == "missing union {0} | {1}"
+
+
 def test_validate_input_errors(files, tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text('{"points": 3, ')

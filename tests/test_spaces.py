@@ -1,4 +1,5 @@
 import operator
+import random
 import time
 import warnings
 
@@ -104,6 +105,16 @@ def test_point_count_is_bounded_before_any_mask_is_built():
                 build([0], n)
     last = 1 << (SPACE_MAX_POINTS - 1)
     assert validate_gt([0, last], SPACE_MAX_POINTS).is_gt
+
+
+def test_points_from_mask_walks_the_set_bits():
+    rng = random.Random(4096)
+    masks = [0, 1, 1 << 4095, (1 << 4096) - 1]
+    masks += [rng.getrandbits(rng.randrange(1, 200)) for _ in range(300)]
+    for m in masks:
+        assert points_from_mask(m) == [p for p in range(m.bit_length())
+                                       if m >> p & 1]
+        assert mask_from_points(points_from_mask(m), 4096) == m
 
 
 # ---------------------------------------------------------------- closure

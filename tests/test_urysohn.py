@@ -538,10 +538,12 @@ def test_effective_witness_apply_unknown_pair():
 
 
 def test_effective_witness_contract_and_gul():
-    for s in small_census():
+    corpus = ([s for n in range(5) for s in enumerate_strong_gts(n)]
+              + sample_strong_gts(5, 300, seed=1105))
+    for s in corpus:
         w = effective_witness(s)
         gul = decide_statement(s, "GUL").holds
-        assert (w is not None) == gul
+        assert (w is not None) == gul == (clopen_defect(s) is None)
         if w is None:
             assert normality_defect(s) is not None
             continue
