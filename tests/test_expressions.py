@@ -29,22 +29,27 @@ def test_parse_set_examples():
     assert parse_set("[-3/2,-1/2]") == interval(F(-3, 2), F(-1, 2), True, True)
 
 
-@pytest.mark.parametrize("text,pos", [
-    ("(inf,3)", 1),
-    ("[-inf,0)", 0),
-    ("(1,0)", 0),
-    ("(1,1)", 0),
-    ("(0,1", 4),
-    ("foo", 0),
-    ("[0,1] junk", 6),
-    ("(0,1/0)", 5),
-    ("", 0),
-    ("(0,inf]", 6),
-])
+# text -> (message, position)
+SET_ERRORS = {
+    "(inf,3)": ("lower endpoint cannot be inf", 1),
+    "[-inf,0)": ("'[' cannot take -inf", 0),
+    "(1,0)": ("reversed interval: 1 > 0", 0),
+    "(1,1)": ("empty interval (equal endpoints need '[' and ']')", 0),
+    "(0,1": ("expected ')' or ']'", 4),
+    "foo": ("expected '(' or '['", 0),
+    "[0,1] junk": ("unexpected trailing input", 6),
+    "(0,1/0)": ("zero denominator", 5),
+    "": ("expected '(' or '['", 0),
+    "(0,inf]": ("']' cannot take inf", 6),
+}
+
+
+@pytest.mark.parametrize("text,pos", [(t, p) for t, (_, p) in SET_ERRORS.items()])
 def test_parse_set_error_positions(text, pos):
     with pytest.raises(ExprError) as exc:
         parse_set(text)
-    assert exc.value.pos == pos
+    message = SET_ERRORS[text][0]
+    assert (str(exc.value), exc.value.pos) == (f"{message} (at position {pos})", pos)
 
 
 def test_set_round_trip():
@@ -69,24 +74,44 @@ def test_parse_map_examples():
     assert joined.values == (F(0),)
 
 
-@pytest.mark.parametrize("text", [
-    "on (-inf,0): 0*x+0; on (0,inf): 0*x+1",     # limits disagree, no at
-    "on (-inf,inf): 0*x+0; at 5: 1",             # at not a breakpoint
-    "on (-inf,0): 0*x+0; at 0: 0; at 0: 1; on (0,inf): 0*x+1",  # duplicate at
-    "on [0,inf): 0*x+0",                         # closed piece
-    "on (-inf,0): 0*x+0; on (1,inf): 0*x+0",     # gap
-    "on (-inf,2): 0*x+0; on (1,inf): 0*x+0",     # overlap
-    "on (-inf,inf): 0*x+0; on (0,inf): 0*x+0",   # unbounded piece not last
-    "on (0,inf): 0*x+0",                         # no -inf start
-    "on (-inf,0): 0*x+0",                        # no inf end
-    "at 0: 1",                                   # no pieces at all
-    "on (-inf,inf): 0*x+0 extra",                # trailing junk
-    "on (-inf,inf): x+0",                        # missing slope
-    "on (-inf,inf): 1*x",                        # missing intercept
-])
+# text -> (message, position)
+MAP_ERRORS = {
+    # limits disagree, no at
+    "on (-inf,0): 0*x+0; on (0,inf): 0*x+1":
+        ("breakpoint 0 needs an 'at' clause (side limits disagree)", 22),
+    # at not a breakpoint
+    "on (-inf,inf): 0*x+0; at 5: 1": ("'at 5' is not at a breakpoint", 24),
+    # duplicate at, reported right after the second 'at'
+    "on (-inf,0): 0*x+0; at 0: 0; at 0: 1; on (0,inf): 0*x+1":
+        ("duplicate 'at 0' clause", 31),
+    # closed piece, reported right after 'on'
+    "on [0,inf): 0*x+0": ("piece intervals must be open", 2),
+    # gap
+    "on (-inf,0): 0*x+0; on (1,inf): 0*x+0":
+        ("pieces must tile: expected a piece starting at 0", 22),
+    # overlap
+    "on (-inf,2): 0*x+0; on (1,inf): 0*x+0":
+        ("pieces must tile: expected a piece starting at 2", 22),
+    # unbounded piece not last
+    "on (-inf,inf): 0*x+0; on (0,inf): 0*x+0":
+        ("an unbounded piece may only be last", 24),
+    "on (0,inf): 0*x+0": ("pieces must start at -inf", 2),
+    "on (-inf,0): 0*x+0": ("pieces must end at inf", 2),
+    "at 0: 1": ("need at least one 'on' piece", 0),
+    "on (-inf,inf): 0*x+0 extra": ("expected ';'", 21),
+    # missing slope
+    "on (-inf,inf): x+0": ("expected digits", 15),
+    # missing intercept
+    "on (-inf,inf): 1*x": ("expected '+' or '-' before the intercept", 18),
+}
+
+
+@pytest.mark.parametrize("text", list(MAP_ERRORS))
 def test_parse_map_errors(text):
-    with pytest.raises(ExprError):
+    with pytest.raises(ExprError) as exc:
         parse_map(text)
+    message, pos = MAP_ERRORS[text]
+    assert (str(exc.value), exc.value.pos) == (f"{message} (at position {pos})", pos)
 
 
 def test_map_round_trip():
