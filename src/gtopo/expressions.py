@@ -11,6 +11,11 @@ Maps:  semicolon-separated clauses, in any order:
        A breakpoint may omit its "at" clause only when both side limits agree,
        in which case that common limit is the value.
 
+Blanks and tabs may stand between any two tokens.  Inside a number they may
+follow a leading "-" and the "/", but not precede the "/": "- 3" and "1/ 2"
+are numbers, "1 /2" is not; "-inf" admits none.  The words empty, all, on,
+at, x and inf must end at a character that is not a letter, digit or "_".
+
 parse_* raise ExprError with the offending position; format_* emit text the
 parsers accept, and parse(format(x)) == x.  A number past CPython's limit on
 int-to-string conversion is refused with ResourceError, not printed.
@@ -23,137 +28,126 @@ from .errors import ExprError, ResourceError
 from .pwmaps import PiecewiseMap, make_pwmap
 from .symsets import ALL_REALS, EMPTY_SET, Interval, SymbolicSet, make_set
 
-_INF = re.compile(r"(-?)inf(?![A-Za-z0-9_])")
-_DIGITS = re.compile(r"[0-9]+")
-_WORD_END = re.compile(r"[A-Za-z0-9_]")
+_WS = re.compile(r"[ \t]*")
+_W = r"(?![A-Za-z0-9_])"           # a word ends here
+_NUM = r"([0-9]+)(?:(/)[ \t]*([0-9]+)?)?"  # digits, "/", digits
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, message: str, pos: int = None) -> ExprError:
-        return ExprError(message, self.pos if pos is None else pos)
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self._skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str):
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def word(self, w: str) -> bool:
-        self._skip_ws()
-        end = self.pos + len(w)
-        if (self.text[self.pos:end] == w
-                and not (end < len(self.text) and _WORD_END.match(self.text[end]))):
-            self.pos = end
-            return True
-        return False
-
-    def digits(self) -> int:
-        self._skip_ws()
-        m = _DIGITS.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected digits")
-        try:
-            value = int(m.group())
-        except ValueError:      # CPython's limit on int-from-string digits
-            raise self.error(f"number too long ({m.end() - m.start()} "
-                             "digits)") from None
-        self.pos = m.end()
-        return value
-
-    def unsigned_rational(self) -> Fraction:
-        num = self.digits()
-        if self.pos < len(self.text) and self.text[self.pos] == "/":
-            at = self.pos
-            self.pos += 1
-            den = self.digits()
-            if den == 0:
-                raise self.error("zero denominator", at + 1)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def rational(self) -> Fraction:
-        self._skip_ws()
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-            return -self.unsigned_rational()
-        return self.unsigned_rational()
-
-    def endpoint(self):
-        """Fraction, or the strings "-inf" / "inf" for the two infinities."""
-        self._skip_ws()
-        m = _INF.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-            return "-inf" if m.group(1) else "inf"
-        return self.rational()
+def _chain(*links: str) -> re.Pattern:
+    """(?:L0(?:L1(?:...)?)?)?, each link after optional blanks.  It always
+    matches, reading the longest run of whole links: the first link whose
+    groups are None is where the text stops fitting.  A failing link gives
+    back only its own blanks and nothing after it can fail, so a match never
+    backtracks into an earlier link and runs in linear time."""
+    pattern = ""
+    for link in reversed(links):
+        pattern = rf"(?:[ \t]*{link}{pattern})?"
+    return re.compile(pattern)
 
 
-def _parse_interval(sc: _Scanner) -> Interval:
-    start = sc.pos
-    ch = sc.peek()
-    if ch not in ("(", "["):
-        raise sc.error("expected '(' or '['")
-    sc.pos += 1
-    lo_closed = ch == "["
-    lo_at = sc.pos
-    lo = sc.endpoint()
-    if lo == "inf":
-        raise sc.error("lower endpoint cannot be inf", lo_at)
-    if lo == "-inf":
-        if lo_closed:
-            raise sc.error("'[' cannot take -inf", start)
-        lo = None
-    sc.take(",")
-    hi_at = sc.pos
-    hi = sc.endpoint()
-    if hi == "-inf":
-        raise sc.error("upper endpoint cannot be -inf", hi_at)
-    ch = sc.peek()
-    if ch not in (")", "]"):
-        raise sc.error("expected ')' or ']'")
-    hi_closed = ch == "]"
-    if hi == "inf":
-        if hi_closed:
-            raise sc.error("']' cannot take inf")
-        hi = None
-    sc.pos += 1
-    if lo is not None and hi is not None:
-        if lo > hi:
-            raise sc.error(f"reversed interval: {lo} > {hi}", start)
-        if lo == hi and not (lo_closed and hi_closed):
-            raise sc.error("empty interval (equal endpoints need '[' and ']')", start)
-    return Interval(lo, hi, lo_closed, hi_closed)
+def _endpoint(inf: str) -> tuple[str, str]:
+    """Links for an Endpoint: a sign or (-)inf, then the digits unless inf."""
+    return f"(?:(?P<{inf}>-?inf){_W}|(-?))", f"(?({inf})|{_NUM})"
+
+
+# One group per token, in reading order.  An interval takes 13: bracket,
+# 5 per endpoint (inf, sign, digits, "/", digits), the comma and the
+# closing bracket.  A rational takes 4: sign, digits, "/", digits.
+_INTERVAL = (r"([([])", *_endpoint("lo_inf"), r"(,)", *_endpoint("hi_inf"),
+             r"([)\]])")
+_SET_WORD = re.compile(rf"[ \t]*(?:(empty|all){_W})?")
+_SET_PART = _chain(*_INTERVAL, r"(\|)")        # interval 1-13, "|" 14
+# "on" 1, interval 2-14, ":" 15, slope 16-19, "*" 20, "x" 21, intercept
+# 22-25 (its sign is "+" or "-"), ";" 26
+_ON = _chain(rf"(on){_W}", *_INTERVAL, r"(:)", r"(-?)", _NUM, r"(\*)",
+             rf"(x){_W}", r"([+-])", _NUM, r"(;)")
+# "at" 1, point 2-5, ":" 6, value 7-10, ";" 11
+_AT = _chain(rf"(at){_W}", r"(-?)", _NUM, r"(:)", r"(-?)", _NUM, r"(;)")
+
+
+def _expected(what: str, m: re.Match) -> ExprError:
+    """The link after the last one m read is missing."""
+    return ExprError(f"expected {what}", _WS.match(m.string, m.end()).end())
+
+
+def _too_long(m: re.Match, g: int) -> ExprError:
+    """Group g holds more digits than CPython reads into an int."""
+    return ExprError(f"number too long ({m.end(g) - m.start(g)} digits)",
+                     m.start(g))
+
+
+def _rational(m: re.Match, g: int) -> Fraction:
+    """The rational in groups g..g+3 of m: sign, digits, "/", digits."""
+    sign, num, slash, den = m.group(g, g + 1, g + 2, g + 3)
+    if num is None:
+        raise _expected("digits", m)
+    try:
+        n = -int(num) if sign == "-" else int(num)
+    except ValueError:      # CPython's limit on int-from-string digits
+        raise _too_long(m, g + 1) from None
+    if slash is None:
+        return Fraction(n)
+    if den is None:
+        raise ExprError("expected digits",
+                        _WS.match(m.string, m.end(g + 2)).end())
+    try:
+        d = int(den)
+    except ValueError:
+        raise _too_long(m, g + 3) from None
+    if d == 0:
+        raise ExprError("zero denominator", m.end(g + 2))
+    return Fraction(n, d)
+
+
+def _interval(m: re.Match, g: int, start: int) -> tuple:
+    """(lo, hi, lo_closed, hi_closed) from groups g..g+12 of m, the interval
+    that starts at start; errors come in the order a reader meets them."""
+    (bra, lo_inf, _, _, _, _, comma, hi_inf, _, _, _, _,
+     ket) = m.group(*range(g, g + 13))
+    if bra is None:
+        raise _expected("'(' or '['", m)
+    lo_closed = bra == "["
+    if lo_inf == "inf":
+        raise ExprError("lower endpoint cannot be inf", m.end(g))
+    if lo_inf and lo_closed:
+        raise ExprError("'[' cannot take -inf", start)
+    lo = None if lo_inf else _rational(m, g + 2)
+    if comma is None:
+        raise _expected("','", m)
+    if hi_inf == "-inf":
+        raise ExprError("upper endpoint cannot be -inf", m.end(g + 6))
+    hi = None if hi_inf else _rational(m, g + 8)
+    if ket is None:
+        raise _expected("')' or ']'", m)
+    hi_closed = ket == "]"
+    if hi_inf and hi_closed:
+        raise ExprError("']' cannot take inf", m.start(g + 12))
+    if lo is not None and hi is not None and lo >= hi:
+        if lo != hi:
+            raise ExprError(f"reversed interval: {lo} > {hi}", start)
+        if not (lo_closed and hi_closed):
+            raise ExprError("empty interval (equal endpoints need '[' and ']')",
+                            start)
+    return lo, hi, lo_closed, hi_closed
 
 
 def parse_set(text: str) -> SymbolicSet:
-    sc = _Scanner(text)
-    if sc.word("empty"):
-        result = EMPTY_SET
-    elif sc.word("all"):
-        result = ALL_REALS
+    m = _SET_WORD.match(text)
+    word, pos = m.group(1), m.end()
+    if word:
+        result = EMPTY_SET if word == "empty" else ALL_REALS
     else:
-        intervals = [_parse_interval(sc)]
-        while sc.peek() == "|":
-            sc.pos += 1
-            intervals.append(_parse_interval(sc))
+        intervals = []
+        while True:
+            m = _SET_PART.match(text, pos)
+            intervals.append(Interval(*_interval(m, 1, pos)))
+            pos = m.end()
+            if m.group(14) is None:
+                break
         result = make_set(intervals)
-    if not sc.at_end():
-        raise sc.error("unexpected trailing input")
+    pos = _WS.match(text, pos).end()
+    if pos < len(text):
+        raise ExprError("unexpected trailing input", pos)
     return result
 
 
@@ -193,77 +187,80 @@ def format_set(s: SymbolicSet) -> str:
 
 
 def parse_map(text: str) -> PiecewiseMap:
-    sc = _Scanner(text)
-    pieces: list[tuple[int, Interval, Fraction, Fraction]] = []
-    ats: dict[Fraction, tuple[int, Fraction]] = {}
+    # (position, lo, hi, slope, intercept); the "at" clauses are keyed by
+    # q.as_integer_ratio(), which hashes much faster than the Fraction q
+    pieces: list[tuple[int, Fraction, Fraction, Fraction, Fraction]] = []
+    ats: dict[tuple[int, int], tuple[int, Fraction, Fraction]] = {}
+    pos = 0
     while True:
-        clause_at = sc.pos
-        if sc.word("on"):
-            iv_at = sc.pos
-            iv = _parse_interval(sc)
-            if iv.lo_closed or iv.hi_closed:
-                raise sc.error("piece intervals must be open", iv_at)
-            sc.take(":")
-            slope = sc.rational()
-            sc.take("*")
-            if not sc.word("x"):
-                raise sc.error("expected 'x' after '*'")
-            sign = sc.peek()
-            if sign not in ("+", "-"):
-                raise sc.error("expected '+' or '-' before the intercept")
-            sc.pos += 1
-            intercept = sc.unsigned_rational()
-            if sign == "-":
-                intercept = -intercept
-            pieces.append((iv_at, iv, slope, intercept))
-        elif sc.word("at"):
-            q_at = sc.pos
-            q = sc.rational()
-            sc.take(":")
-            v = sc.rational()
-            if q in ats:
-                raise sc.error(f"duplicate 'at {q}' clause", q_at)
-            ats[q] = (q_at, v)
+        m = _ON.match(text, pos)
+        if m.group(1):
+            iv_at = m.end(1)
+            lo, hi, lo_closed, hi_closed = _interval(m, 2, iv_at)
+            if lo_closed or hi_closed:
+                raise ExprError("piece intervals must be open", iv_at)
+            if m.group(15) is None:
+                raise _expected("':'", m)
+            slope = _rational(m, 16)
+            if m.group(20) is None:
+                raise _expected("'*'", m)
+            if m.group(21) is None:
+                raise _expected("'x' after '*'", m)
+            if m.group(22) is None:
+                raise _expected("'+' or '-' before the intercept", m)
+            pieces.append((iv_at, lo, hi, slope, _rational(m, 22)))
+            end = m.group(26)
         else:
-            raise sc.error("expected 'on' or 'at'", clause_at)
-        if sc.at_end():
-            break
-        sc.take(";")
-    return _assemble_map(sc, pieces, ats)
+            m = _AT.match(text, pos)
+            if m.group(1) is None:
+                raise ExprError("expected 'on' or 'at'", pos)
+            q_at = m.end(1)
+            q = _rational(m, 2)
+            if m.group(6) is None:
+                raise _expected("':'", m)
+            v = _rational(m, 7)
+            key = q.as_integer_ratio()
+            if key in ats:
+                raise ExprError(f"duplicate 'at {q}' clause", q_at)
+            ats[key] = (q_at, q, v)
+            end = m.group(11)
+        pos = m.end()
+        if end is None:
+            pos = _WS.match(text, pos).end()
+            if pos == len(text):
+                return _assemble_map(pieces, ats)
+            raise ExprError("expected ';'", pos)
 
 
-def _assemble_map(sc: _Scanner, pieces, ats) -> PiecewiseMap:
+def _assemble_map(pieces, ats) -> PiecewiseMap:
     if not pieces:
-        raise sc.error("need at least one 'on' piece", 0)
-    pieces = sorted(pieces, key=lambda p: (p[1].lo is not None, p[1].lo or 0))
-    first_at, first = pieces[0][0], pieces[0][1]
-    if first.lo is not None:
-        raise sc.error("pieces must start at -inf", first_at)
-    for (_, cur, _, _), (nxt_at, nxt, _, _) in zip(pieces, pieces[1:]):
-        if cur.hi is None:
-            raise sc.error("an unbounded piece may only be last", nxt_at)
-        if nxt.lo != cur.hi:
-            raise sc.error(f"pieces must tile: expected a piece starting at {cur.hi}",
-                           nxt_at)
-    last_at, last = pieces[-1][0], pieces[-1][1]
-    if last.hi is not None:
-        raise sc.error("pieces must end at inf", last_at)
-    breakpoints = [p[1].lo for p in pieces[1:]]
+        raise ExprError("need at least one 'on' piece", 0)
+    pieces.sort(key=lambda p: (p[1] is not None, p[1] or 0))
+    if pieces[0][1] is not None:
+        raise ExprError("pieces must start at -inf", pieces[0][0])
+    for (_, _, hi, _, _), (nxt_at, lo, _, _, _) in zip(pieces, pieces[1:]):
+        if hi is None:
+            raise ExprError("an unbounded piece may only be last", nxt_at)
+        if lo != hi:
+            raise ExprError(f"pieces must tile: expected a piece starting at {hi}",
+                            nxt_at)
+    if pieces[-1][2] is not None:
+        raise ExprError("pieces must end at inf", pieces[-1][0])
+    breakpoints = [p[1] for p in pieces[1:]]
     values = []
-    for i, b in enumerate(breakpoints):
-        if b in ats:
-            values.append(ats.pop(b)[1])
-            continue
-        ml, tl = pieces[i][2], pieces[i][3]
-        mr, tr = pieces[i + 1][2], pieces[i + 1][3]
-        if ml * b + tl != mr * b + tr:
-            raise sc.error(f"breakpoint {b} needs an 'at' clause "
-                           "(side limits disagree)", pieces[i + 1][0])
-        values.append(ml * b + tl)
+    for (_, _, b, ml, tl), (nxt_at, _, _, mr, tr) in zip(pieces, pieces[1:]):
+        at = ats.pop(b.as_integer_ratio(), None)
+        if at:
+            values.append(at[2])
+        elif ml * b + tl != mr * b + tr:
+            raise ExprError(f"breakpoint {b} needs an 'at' clause "
+                            "(side limits disagree)", nxt_at)
+        else:
+            values.append(ml * b + tl)
     if ats:
-        q, (q_at, _) = min(ats.items(), key=lambda kv: kv[1][0])
-        raise sc.error(f"'at {q}' is not at a breakpoint", q_at)
-    return make_pwmap(breakpoints, [(m, t) for _, _, m, t in pieces], values)
+        q_at, q, _ = min(ats.values())
+        raise ExprError(f"'at {q}' is not at a breakpoint", q_at)
+    return make_pwmap(breakpoints, [p[3:] for p in pieces], values)
 
 
 def format_map(f: PiecewiseMap) -> str:

@@ -20,7 +20,10 @@ Endpoint = Optional[Fraction]  # None = the relevant infinity
 
 
 def as_fraction(v, what: str = "value") -> Fraction:
-    """Coerce to Fraction, refusing floats (exactness is the whole point)."""
+    """Coerce to Fraction, refusing floats (exactness is the whole point).
+    An exact Fraction is returned as it is."""
+    if type(v) is Fraction:
+        return v
     if isinstance(v, float):
         raise InputError(f"refusing inexact float {what}: {v!r}")
     try:

@@ -1,6 +1,7 @@
 """Grammar round-trip and error-position checks."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -152,3 +153,44 @@ def test_digit_count_of_refused_numbers():
             with pytest.raises(ResourceError) as exc:
                 format_rational(rng.choice([1, -1]) * n)
             assert str(exc.value) == f"number too long to print ({k + 1} digits)"
+
+
+def big_map_text(n):
+    return format_map(make_pwmap([F(i, 3) for i in range(n)],
+                                 [(F(i % 7 - 3, 2), F(i, 5)) for i in range(n + 1)],
+                                 [F(i % 11, 4) for i in range(n)]))
+
+
+def error_pos(parse, text):
+    try:
+        parse(text)
+    except ExprError as e:
+        return e.pos
+
+
+def linear_case(case, k):
+    """A call whose time should be linear in k; it returns True when right."""
+    if case == "map":
+        text = big_map_text(k)
+        return lambda: format_map(parse_map(text)) == text
+    if case == "blanks after on":
+        text = "on" + " " * (10 * k) + "x"
+        return lambda: error_pos(parse_map, text) == len(text) - 1
+    if case == "blanks in interval":
+        text = "(" + " \t" * (5 * k) + "0,1)"
+        return lambda: parse_set(text) == interval(0, 1, False, False)
+    text = "[0,1]" + " | [0,1]" * k
+    return lambda: parse_set(text) == interval(0, 1, True, True)
+
+
+@pytest.mark.parametrize("case", ["map", "blanks after on", "blanks in interval",
+                                  "many intervals"])
+def test_parse_runs_in_linear_time(case):
+    # A regex whose optional blanks can split one run two ways backtracks
+    # quadratically on texts that fail after the run.  The tenth-size text
+    # goes first, so such a parser fails here in seconds instead of hanging.
+    for k in (2_000, 20_000):
+        call = linear_case(case, k)
+        start = time.perf_counter()
+        assert call()
+        assert time.perf_counter() - start < 1.0

@@ -7,7 +7,7 @@ import pytest
 
 from gtopo.errors import InputError
 from gtopo.symsets import (ALL_REALS, EMPTY_SET, Interval, SymbolicSet, above,
-                           below, interval, make_set, point)
+                           as_fraction, below, interval, make_set, point)
 
 POOL = [F(n, 2) for n in range(-6, 7)]
 
@@ -65,6 +65,23 @@ def test_floats_are_refused():
         point(0.25)
     with pytest.raises(InputError):
         EMPTY_SET.contains(0.5)
+
+
+def test_as_fraction_passes_exact_fractions_through():
+    q = F(3, 7)
+    assert as_fraction(q) is q
+    assert interval(q, None, True, False).components[0].lo is q
+    assert below(q).components[0].hi is q and above(q).components[0].lo is q
+    for v, want in ((3, F(3)), (True, F(1)), ("-3/4", F(-3, 4))):
+        got = as_fraction(v)
+        assert type(got) is F and got == want
+    with pytest.raises(InputError) as exc:
+        as_fraction(0.5, "endpoint")
+    assert str(exc.value) == "refusing inexact float endpoint: 0.5"
+    for bad in ("x", "1/0", None, [1]):
+        with pytest.raises(InputError) as exc:
+            as_fraction(bad)
+        assert str(exc.value) == f"not a rational value: {bad!r}"
 
 
 def test_contains_basics():
