@@ -25,7 +25,7 @@ import re
 from fractions import Fraction
 
 from .errors import ExprError, ResourceError
-from .pwmaps import PiecewiseMap, make_pwmap
+from .pwmaps import PiecewiseMap
 from .symsets import ALL_REALS, EMPTY_SET, Interval, SymbolicSet, make_set
 
 _WS = re.compile(r"[ \t]*")
@@ -76,9 +76,21 @@ def _too_long(m: re.Match, g: int) -> ExprError:
                      m.start(g))
 
 
-def _rational(m: re.Match, g: int) -> Fraction:
-    """The rational in groups g..g+3 of m: sign, digits, "/", digits."""
-    sign, num, slash, den = m.group(g, g + 1, g + 2, g + 3)
+def _rational(m: re.Match, g: int, memo: dict) -> Fraction:
+    """The rational in groups g..g+3 of m: sign, digits, "/", digits.
+
+    memo maps each spelling (the four groups) already read in this call to
+    its value, so a number written again is not converted again.  Whether a
+    spelling raises depends on the spelling alone, and one that raises is
+    never stored, so every error keeps its message and position."""
+    key = m.group(g, g + 1, g + 2, g + 3)
+    q = memo.get(key)
+    if q is None:
+        q = memo[key] = _read_rational(m, g, *key)
+    return q
+
+
+def _read_rational(m: re.Match, g: int, sign, num, slash, den) -> Fraction:
     if num is None:
         raise _expected("digits", m)
     try:
@@ -99,7 +111,7 @@ def _rational(m: re.Match, g: int) -> Fraction:
     return Fraction(n, d)
 
 
-def _interval(m: re.Match, g: int, start: int) -> tuple:
+def _interval(m: re.Match, g: int, start: int, memo: dict) -> tuple:
     """(lo, hi, lo_closed, hi_closed) from groups g..g+12 of m, the interval
     that starts at start; errors come in the order a reader meets them."""
     (bra, lo_inf, _, _, _, _, comma, hi_inf, _, _, _, _,
@@ -111,12 +123,12 @@ def _interval(m: re.Match, g: int, start: int) -> tuple:
         raise ExprError("lower endpoint cannot be inf", m.end(g))
     if lo_inf and lo_closed:
         raise ExprError("'[' cannot take -inf", start)
-    lo = None if lo_inf else _rational(m, g + 2)
+    lo = None if lo_inf else _rational(m, g + 2, memo)
     if comma is None:
         raise _expected("','", m)
     if hi_inf == "-inf":
         raise ExprError("upper endpoint cannot be -inf", m.end(g + 6))
-    hi = None if hi_inf else _rational(m, g + 8)
+    hi = None if hi_inf else _rational(m, g + 8, memo)
     if ket is None:
         raise _expected("')' or ']'", m)
     hi_closed = ket == "]"
@@ -137,10 +149,10 @@ def parse_set(text: str) -> SymbolicSet:
     if word:
         result = EMPTY_SET if word == "empty" else ALL_REALS
     else:
-        intervals = []
+        intervals, memo = [], {}
         while True:
             m = _SET_PART.match(text, pos)
-            intervals.append(Interval(*_interval(m, 1, pos)))
+            intervals.append(Interval(*_interval(m, 1, pos, memo)))
             pos = m.end()
             if m.group(14) is None:
                 break
@@ -191,34 +203,35 @@ def parse_map(text: str) -> PiecewiseMap:
     # q.as_integer_ratio(), which hashes much faster than the Fraction q
     pieces: list[tuple[int, Fraction, Fraction, Fraction, Fraction]] = []
     ats: dict[tuple[int, int], tuple[int, Fraction, Fraction]] = {}
+    memo: dict = {}
     pos = 0
     while True:
         m = _ON.match(text, pos)
         if m.group(1):
             iv_at = m.end(1)
-            lo, hi, lo_closed, hi_closed = _interval(m, 2, iv_at)
+            lo, hi, lo_closed, hi_closed = _interval(m, 2, iv_at, memo)
             if lo_closed or hi_closed:
                 raise ExprError("piece intervals must be open", iv_at)
             if m.group(15) is None:
                 raise _expected("':'", m)
-            slope = _rational(m, 16)
+            slope = _rational(m, 16, memo)
             if m.group(20) is None:
                 raise _expected("'*'", m)
             if m.group(21) is None:
                 raise _expected("'x' after '*'", m)
             if m.group(22) is None:
                 raise _expected("'+' or '-' before the intercept", m)
-            pieces.append((iv_at, lo, hi, slope, _rational(m, 22)))
+            pieces.append((iv_at, lo, hi, slope, _rational(m, 22, memo)))
             end = m.group(26)
         else:
             m = _AT.match(text, pos)
             if m.group(1) is None:
                 raise ExprError("expected 'on' or 'at'", pos)
             q_at = m.end(1)
-            q = _rational(m, 2)
+            q = _rational(m, 2, memo)
             if m.group(6) is None:
                 raise _expected("':'", m)
-            v = _rational(m, 7)
+            v = _rational(m, 7, memo)
             key = q.as_integer_ratio()
             if key in ats:
                 raise ExprError(f"duplicate 'at {q}' clause", q_at)
@@ -232,20 +245,34 @@ def parse_map(text: str) -> PiecewiseMap:
             raise ExprError("expected ';'", pos)
 
 
+def _tile_as_written(pieces) -> bool:
+    """Do the pieces tile ℝ in the order written?  Then their starts
+    strictly increase, sorting keeps that order and every check of
+    _assemble_map passes.  A number spelled alike is one object (memo), so
+    most ends match on identity."""
+    if pieces[0][1] is not None or pieces[-1][2] is not None:
+        return False
+    for (_, _, hi, _, _), (_, lo, _, _, _) in zip(pieces, pieces[1:]):
+        if hi is None or (lo is not hi and lo != hi):
+            return False
+    return True
+
+
 def _assemble_map(pieces, ats) -> PiecewiseMap:
     if not pieces:
         raise ExprError("need at least one 'on' piece", 0)
-    pieces.sort(key=lambda p: (p[1] is not None, p[1] or 0))
-    if pieces[0][1] is not None:
-        raise ExprError("pieces must start at -inf", pieces[0][0])
-    for (_, _, hi, _, _), (nxt_at, lo, _, _, _) in zip(pieces, pieces[1:]):
-        if hi is None:
-            raise ExprError("an unbounded piece may only be last", nxt_at)
-        if lo != hi:
-            raise ExprError(f"pieces must tile: expected a piece starting at {hi}",
-                            nxt_at)
-    if pieces[-1][2] is not None:
-        raise ExprError("pieces must end at inf", pieces[-1][0])
+    if not _tile_as_written(pieces):
+        pieces.sort(key=lambda p: (p[1] is not None, p[1] or 0))
+        if pieces[0][1] is not None:
+            raise ExprError("pieces must start at -inf", pieces[0][0])
+        for (_, _, hi, _, _), (nxt_at, lo, _, _, _) in zip(pieces, pieces[1:]):
+            if hi is None:
+                raise ExprError("an unbounded piece may only be last", nxt_at)
+            if lo != hi:
+                raise ExprError("pieces must tile: expected a piece starting "
+                                f"at {hi}", nxt_at)
+        if pieces[-1][2] is not None:
+            raise ExprError("pieces must end at inf", pieces[-1][0])
     breakpoints = [p[1] for p in pieces[1:]]
     values = []
     for (_, _, b, ml, tl), (nxt_at, _, _, mr, tr) in zip(pieces, pieces[1:]):
@@ -260,7 +287,10 @@ def _assemble_map(pieces, ats) -> PiecewiseMap:
     if ats:
         q_at, q, _ = min(ats.values())
         raise ExprError(f"'at {q}' is not at a breakpoint", q_at)
-    return make_pwmap(breakpoints, [p[3:] for p in pieces], values)
+    # the pieces tile and each is a nonempty interval, so the breakpoints
+    # strictly increase: nothing is left for make_pwmap to check
+    return PiecewiseMap(tuple(breakpoints), tuple(p[3:] for p in pieces),
+                        tuple(values))
 
 
 def format_map(f: PiecewiseMap) -> str:

@@ -172,12 +172,3 @@ def make_pwmap(breakpoints: Sequence, pieces: Iterable[Sequence],
 def constant_map(value) -> PiecewiseMap:
     return PiecewiseMap((), ((Fraction(0), as_fraction(value, "value")),), ())
 
-
-def is_continuous_everywhere(f: PiecewiseMap) -> bool:
-    """Classical continuity: each breakpoint value matches both side limits."""
-    for i, b in enumerate(f.breakpoints):
-        ml, tl = f.pieces[i]
-        mr, tr = f.pieces[i + 1]
-        if ml * b + tl != f.values[i] or mr * b + tr != f.values[i]:
-            return False
-    return True

@@ -22,8 +22,10 @@ Continuity targets:
 
 Both are decided exactly in one pass over pieces and breakpoints: gtaun
 continuity is monotonicity plus continuity from the right (from both sides
-on gtn), taun continuity adds an image of at most two points, and Tietze
-extension is read off the frozen extension itself.
+on gtn), each side limit compared with the value by integer
+cross-multiplication; taun continuity adds a scan of the slopes and values
+(constant on every piece, at most two values in all), with no image built;
+and Tietze extension is read off the frozen extension itself.
 """
 
 from bisect import bisect_left, bisect_right
@@ -152,16 +154,47 @@ def gul_witness(a: SymbolicSet, b: SymbolicSet, space: str) -> PiecewiseMap:
 # --- continuity -------------------------------------------------------------
 
 def _gtaun_continuous(f: PiecewiseMap, source: str) -> bool:
-    """Monotone, with v = R (and L = v on gtn) at every breakpoint."""
-    slopes = [m for m, _ in f.pieces]
-    up, down = min(slopes) >= 0, max(slopes) <= 0
-    for b, v, (ml, tl), (mr, tr) in zip(f.breakpoints, f.values, f.pieces,
-                                        f.pieces[1:]):
-        left, right = ml * b + tl, mr * b + tr
-        if v != right or (source == "gtn" and v != left):
+    """Monotone, with v = R (and L = v on gtn) at every breakpoint.
+
+    Each side limit m·b + t meets v in integers: with m = mn/md, b = bn/bd,
+    t = tn/td, v = vn/vd and every denominator positive, m·b + t − v has the
+    sign of (mn·bn·td + tn·md·bd)·vd − vn·md·bd·td."""
+    pieces = [m.as_integer_ratio() + t.as_integer_ratio() for m, t in f.pieces]
+    up = all(mn >= 0 for mn, _, _, _ in pieces)
+    down = all(mn <= 0 for mn, _, _, _ in pieces)
+    if not (up or down):
+        return False
+    gtn = source == "gtn"
+    for b, v, (lmn, lmd, ltn, ltd), (rmn, rmd, rtn, rtd) in zip(
+            f.breakpoints, f.values, pieces, pieces[1:]):
+        bn, bd = b.as_integer_ratio()
+        vn, vd = v.as_integer_ratio()
+        d = rmd * bd
+        if (rmn * bn * rtd + rtn * d) * vd != vn * d * rtd:      # v ≠ R
             return False
-        up, down = up and left <= v, down and left >= v
-    return up or down
+        d = lmd * bd
+        s = (lmn * bn * ltd + ltn * d) * vd - vn * d * ltd      # sign of L − v
+        if s:
+            if gtn:
+                return False
+            up, down = up and s < 0, down and s > 0
+            if not (up or down):
+                return False
+    return True
+
+
+def _at_most_two_values(f: PiecewiseMap) -> bool:
+    """Constant on every piece, with at most two distinct values in all.
+
+    The scan stops at the first sloped piece: its image is an interval of
+    positive length, never a point."""
+    seen = set()
+    for m, t in f.pieces:
+        if m:
+            return False
+        seen.add(t.as_integer_ratio())
+    seen.update(v.as_integer_ratio() for v in f.values)
+    return len(seen) <= 2
 
 
 def check_continuity_sym(f: PiecewiseMap, source: str, target: str) -> bool:
@@ -171,7 +204,11 @@ def check_continuity_sym(f: PiecewiseMap, source: str, target: str) -> bool:
     is gtaun-continuous exactly when it is monotone (every slope ≥ 0 and
     L ≤ v at every breakpoint, or every slope ≤ 0 and L ≥ v) with v = R at
     every breakpoint, and L = v too on gtn.  It is taun-continuous exactly
-    when in addition its image has at most two points.
+    when in addition its image has at most two points, that is, when it is
+    constant on every piece (a sloped piece's image is an interval of
+    positive length) and its piece constants and breakpoint values hold at
+    most two distinct numbers.  Both are read off the pieces' numerators and
+    denominators; no image or preimage is built.
 
     1. taun ⇒ gtaun: every ray is a union of windows, and the source GT is
        closed under unions.
@@ -192,8 +229,7 @@ def check_continuity_sym(f: PiecewiseMap, source: str, target: str) -> bool:
         return False
     if target == "gtaun":
         return True
-    values = f.image().components
-    return len(values) <= 2 and all(c.is_singleton for c in values)
+    return _at_most_two_values(f)
 
 
 # --- Tietze-style extension off a closed set --------------------------------

@@ -10,8 +10,9 @@ back every ray anchored at those parameters.  Preimages are computed from
 raw values, never through the library's fiber shortcut, so this file can
 arbitrate it.
 
-The real line: exhaustive window sweeps and a trace decider for
-check_continuity_sym and tietze_extend, using only the public API.
+The real line: classical continuity, and exhaustive window sweeps and a
+trace decider for check_continuity_sym and tietze_extend, using only the
+public API.
 """
 
 from fractions import Fraction
@@ -77,6 +78,16 @@ def oracle_continuous_gtaun(values, opens) -> bool:
 # check_continuity_sym and tietze_extend decided the long way: every window
 # between probe parameters (two representatives per region between critical
 # values), and Tietze continuity on the trace GT of the closed domain itself.
+
+
+def is_continuous_everywhere(f) -> bool:
+    """Classical continuity: each breakpoint value matches both side limits."""
+    for i, b in enumerate(f.breakpoints):
+        ml, tl = f.pieces[i]
+        mr, tr = f.pieces[i + 1]
+        if ml * b + tl != f.values[i] or mr * b + tr != f.values[i]:
+            return False
+    return True
 
 
 def _open_in(s, space) -> bool:

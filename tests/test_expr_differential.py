@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expr_oracle
+from gtopo.errors import ExprError
 from gtopo.expressions import format_map, format_set, parse_map, parse_set
 from gtopo.pwmaps import make_pwmap
 from test_pwmaps import rand_map
@@ -52,10 +53,14 @@ def rand_fraction_map(rng):
     return make_pwmap(bps, pieces, values)
 
 
+def corpus_maps(rng):
+    return (continuity_corpus(12002, 25) + [rand_map(rng) for _ in range(100)]
+            + [rand_fraction_map(rng) for _ in range(100)])
+
+
 def valid_texts():
     rng = random.Random(12001)
-    maps = (continuity_corpus(12002, 25) + [rand_map(rng) for _ in range(100)]
-            + [rand_fraction_map(rng) for _ in range(100)])
+    maps = corpus_maps(rng)
     sets = [rand_set(rng) for _ in range(200)]
     return ([("map", format_map(f)) for f in maps]
             + [("set", format_set(s)) for s in sets])
@@ -165,6 +170,66 @@ EDGE_MAPS = [
 @pytest.mark.parametrize("kind,texts", [("set", EDGE_SETS), ("map", EDGE_MAPS)])
 def test_edge_texts_agree(kind, texts):
     assert mismatches(kind, texts) == []
+
+
+# Equal numbers spelled apart.  parse_map converts each spelling once per
+# call, so it must neither merge two spellings into one entry nor miss that
+# their values are equal: ends spelled apart still tile, an at clause spelled
+# apart still lands on its breakpoint, and a duplicate spelled apart is still
+# refused, with the message and position of the scanner.
+SPELLED_APART = {
+    "on (-inf,1/2): 0*x+0; at 2/4: 5; on (2/4,inf): 0*x+1":
+        make_pwmap((F(1, 2),), ((0, 0), (0, 1)), (5,)),
+    "on (2/4,inf): 0*x+1; on (-inf,1/2): 2*x+0":
+        make_pwmap((F(1, 2),), ((2, 0), (0, 1)), (1,)),
+    "on (-inf,0): 0*x+0; at -0: 1; on (0/3,1): -0*x+1; at 1: 1; "
+    "on (1,inf): 0*x+0/3":
+        make_pwmap((0, 1), ((0, 0), (0, 1), (0, 0)), (1, 1)),
+    "on (-inf,-0): 1*x-0; on (0/3,inf): 1*x+0":
+        make_pwmap((0,), ((1, 0), (1, 0)), (0,)),
+    "on (-inf,0/3): -1/2*x+2/4; at 0: -0; on (-0,inf): 0*x-0":
+        make_pwmap((0,), ((F(-1, 2), F(1, 2)), (0, 0)), (0,)),
+}
+SPELLED_APART_ERRORS = [
+    "on (-inf,1/2): 0*x+0; at 1/2: 0; at 2/4: 1; on (2/4,inf): 0*x+1",
+    "on (-inf,0): 0*x+0; at 0: 0; at -0: 1; on (0,inf): 0*x+1",
+    "on (-inf,0): 0*x+0; at 0/3: 0; at 0: 1; on (-0,inf): 0*x+1",
+    "on (-inf,0): 0*x+0; at -0: 0; at 0/3: 1; on (0,inf): 0*x+1",
+    "on (-inf,1/2): 0*x+0; at 1/2: 0; on (2/4,inf): 0*x+1; at 4/8: 2",
+    "on (-inf,1/2): 0*x+0; at 2/3: 0; on (2/4,inf): 0*x+0",
+    "on (-inf,2/4): 0*x+0; on (1/3,inf): 0*x+1; at 1/2: 0",
+    "on (-inf,-0): 0*x+0; on (0/3,inf): 0*x+1",
+    "on (-0,inf): 0*x+0; on (-inf,0/3): 0*x+1; on (0,1): 0*x+2",
+]
+
+
+def test_equal_numbers_spelled_apart():
+    for text, expected in SPELLED_APART.items():
+        assert parse_map(text) == expected, text
+    assert mismatches("map", list(SPELLED_APART)) == []
+    assert mismatches("map", SPELLED_APART_ERRORS) == []
+    outcomes = [outcome(parse_map, t) for t in SPELLED_APART_ERRORS]
+    assert all(o[0] is ExprError for o in outcomes)
+    assert outcomes[:4] == [
+        (ExprError, "duplicate 'at 1/2' clause (at position 35)", 35),
+        (ExprError, "duplicate 'at 0' clause (at position 31)", 31),
+        (ExprError, "duplicate 'at 0' clause (at position 33)", 33),
+        (ExprError, "duplicate 'at 0' clause (at position 32)", 32)]
+
+
+def test_direct_build_equals_make_pwmap():
+    # parse_map builds its PiecewiseMap without make_pwmap's checks and
+    # coercions; the result must be the map make_pwmap would build.
+    rng = random.Random(12006)
+    for f in corpus_maps(rng):
+        want = make_pwmap(f.breakpoints, f.pieces, f.values)
+        text = format_map(f)
+        for t in (text, respaced(text, rng, allowed_gap)):
+            got = parse_map(t)
+            assert got == want, t
+            numbers = (got.breakpoints + got.values
+                       + tuple(x for piece in got.pieces for x in piece))
+            assert all(type(x) is F for x in numbers), t
 
 
 def test_documented_word_and_sign_rules():

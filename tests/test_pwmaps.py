@@ -6,9 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from gtopo.errors import InputError
-from gtopo.pwmaps import (PiecewiseMap, constant_map, is_continuous_everywhere,
-                          make_pwmap)
+from gtopo.pwmaps import PiecewiseMap, constant_map, make_pwmap
 from gtopo.symsets import ALL_REALS, below, interval, point
+from continuity_oracle import is_continuous_everywhere
 
 RAMP = make_pwmap((0, 1), ((0, 0), (1, 0), (0, 1)), (0, 1))  # 0 / x / 1
 STEP = make_pwmap((0,), ((0, 0), (0, 1)), (0,))              # 0 on (-inf,0], 1 after

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 import gtopo.realline as realline
 from gtopo.errors import InputError, PreconditionError, ResourceError
 from gtopo.expressions import parse_set
-from gtopo.pwmaps import (PiecewiseMap, constant_map, is_continuous_everywhere,
-                          make_pwmap)
+from gtopo.pwmaps import PiecewiseMap, constant_map, make_pwmap
 from gtopo.realline import (LiftedWitness, OpenTriple, SymbolicWitness,
                             check_continuity_sym, classify, closure_sym,
                             disjoint_open_triple, effective_F, gul_witness,
@@ -20,7 +19,8 @@ from gtopo.realline import (LiftedWitness, OpenTriple, SymbolicWitness,
 from gtopo.symsets import (ALL_REALS, EMPTY_SET, Interval, above, below,
                            interval, make_set, point)
 import effective_f_oracle
-from continuity_oracle import sweep_continuous, trace_extend
+from continuity_oracle import (is_continuous_everywhere, sweep_continuous,
+                               trace_extend)
 from effective_f_oracle import scan_effective_F, scan_split_point
 from test_pwmaps import POOL, RAMP, STEP, rand_map
 from test_symsets import rand_set
@@ -391,9 +391,12 @@ def test_continuity_reads_pieces_not_preimages(monkeypatch):
     maps = continuity_corpus(61, 100)
     expected = [[sweep_continuous(f, s, t) for s, t in PAIRS] for f in maps]
 
-    def refuse(*args):
-        raise AssertionError("preimage_open called")
-    monkeypatch.setattr(PiecewiseMap, "preimage_open", refuse)
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"{name} called")
+        return call
+    for name in ("preimage_open", "image"):
+        monkeypatch.setattr(PiecewiseMap, name, refuse(name))
     assert [[check_continuity_sym(f, s, t) for s, t in PAIRS]
             for f in maps] == expected
 
@@ -417,6 +420,70 @@ def small_maps(draw):
 @settings(max_examples=150, deadline=None)
 @given(f=small_maps(), p=st.sampled_from(TIETZE_DOMAINS))
 def test_continuity_and_extension_match_oracles(f, p):
+    for source, target in PAIRS:
+        assert check_continuity_sym(f, source, target) \
+            == sweep_continuous(f, source, target)
+    for target in ("taun", "gtaun"):
+        assert _extension_outcome(tietze_extend, p, f, target) \
+            == _extension_outcome(trace_extend, p, f, target)
+
+
+# Stretches that take a map's numbers to about 300 digits: g(x) = c·f(x/k)
+# keeps every verdict of f, and its data is k·b, c·m/k, c·t and c·v.
+BIG = 10 ** 300
+STRETCHES = [(F(1), F(1)), (F(BIG + 7, 3), F(2 * BIG + 1, 7)),
+             (F(3, BIG + 11), F(-(BIG + 3), 5))]
+SMALL_RATIONALS = st.fractions(-3, 3, max_denominator=7)
+
+
+@st.composite
+def rational_maps(draw):
+    """Up to three breakpoints, and slopes, intercepts and values, all n/d
+    with d in 1..7 and either sign.  Slopes share a sign or are 0 often,
+    pieces often meet, and values often take a side limit, so every clause
+    of the decider is met on both sides.  Some maps are stretched to
+    numbers of about 300 digits."""
+    bps = sorted(set(draw(st.lists(SMALL_RATIONALS, max_size=3))))
+    sign = draw(st.sampled_from([1, -1]))
+    slopes = st.one_of(st.just(F(0)),
+                       SMALL_RATIONALS.map(lambda m: sign * abs(m)),
+                       SMALL_RATIONALS)
+    m = draw(slopes)
+    pieces = [(m, draw(SMALL_RATIONALS))]
+    values = []
+    for b in bps:
+        left = pieces[-1][0] * b + pieces[-1][1]
+        right = draw(st.one_of(st.just(left), SMALL_RATIONALS))
+        m = draw(slopes)
+        pieces.append((m, right - m * b))
+        values.append(draw(st.one_of(st.sampled_from([left, right]),
+                                     SMALL_RATIONALS)))
+    k, c = draw(st.sampled_from(STRETCHES))
+    f = make_pwmap([k * b for b in bps],
+                   [(c * m / k, c * t) for m, t in pieces],
+                   [c * v for v in values])
+    return f, k
+
+
+@st.composite
+def closed_domains(draw, k):
+    """A closed ray or a closed bounded interval with n/d ends, stretched
+    by k like the map it is drawn for."""
+    a, b = sorted(draw(st.lists(SMALL_RATIONALS, min_size=2, max_size=2,
+                                unique=True)))
+    kind = draw(st.sampled_from(["interval", "below", "above"]))
+    if kind == "interval":
+        return interval(k * a, k * b, True, True)
+    if kind == "below":
+        return below(k * a, closed=True)
+    return above(k * a, closed=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_integer_kernel_matches_oracles_on_rationals(data):
+    f, k = data.draw(rational_maps())
+    p = data.draw(closed_domains(k))
     for source, target in PAIRS:
         assert check_continuity_sym(f, source, target) \
             == sweep_continuous(f, source, target)
