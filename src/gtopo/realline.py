@@ -36,7 +36,7 @@ from .errors import InputError, PreconditionError, ResourceError, check_target
 from .pwmaps import PiecewiseMap, constant_map, make_pwmap
 from .rationals import dyadic_neighbors, dyadics_by_level, first_in_interval
 from .symsets import (ALL_REALS, EMPTY_SET, Interval, SymbolicSet, above,
-                      below)
+                      as_fraction, below)
 from .symsets import make_set  # noqa: F401  (bench/tracing.py patches it here)
 
 SPACES = ("gtn", "gts")
@@ -378,7 +378,7 @@ class SymbolicLadder:
         return tuple(r for r, _ in self.entries)
 
     def get(self, r) -> SymbolicSet:
-        r = Fraction(r)
+        r = as_fraction(r, "index")
         for idx, s in self.entries:
             if idx == r:
                 return s

@@ -55,14 +55,15 @@ def canonical_family(masks: Iterable[int]) -> tuple[int, ...]:
 
 
 def close_under(masks: Iterable[int], op=operator.or_) -> set[int]:
-    """Smallest superfamily closed under the pairwise operation op; for the
-    default union this is closure under arbitrary (nonempty) unions."""
-    family = set(masks)
-    frontier = list(family)
+    """Smallest superfamily closed under the pairwise operation op (union by
+    default), which must be associative and commutative: then each member is
+    a join of generators, so new members are joined with generators only."""
+    gens = tuple(set(masks))
+    family, frontier = set(gens), list(gens)
     while frontier:
         m = frontier.pop()
-        for x in list(family):
-            u = op(m, x)
+        for g in gens:
+            u = op(m, g)
             if u not in family:
                 family.add(u)
                 frontier.append(u)
@@ -338,29 +339,36 @@ def rect_factors(m: int, n1: int, n2: int) -> tuple[int, int]:
     return rows, cols
 
 
+def _least_neighbourhoods(space: FiniteGT) -> Iterator[int]:
+    """N(x), the meet of X and the opens holding x, for each point x; x is in
+    N(y) exactly when every open holding y holds x."""
+    for x in range(space.n):
+        acc = space.full
+        for u in space.opens:
+            if u >> x & 1:
+                acc &= u
+        yield acc
+
+
 def generated_topology(space: FiniteGT) -> FiniteGT:
-    """Smallest topology containing the opens: close under pairwise
-    intersection, then under union."""
+    """Smallest topology containing the opens: the unions of the least
+    neighbourhoods N(x), each a finite meet of opens.  A finite meet m of
+    opens is the union of the N(x) over x in m (Alexandroff 1937)."""
     if not space.is_strong:
         raise PreconditionError("generated topology requires a strong space")
-    family = close_under(space.opens, operator.and_)
-    return FiniteGT(space.n, canonical_family(close_under(family)))
+    return FiniteGT(space.n, canonical_family(
+        close_under([0, *_least_neighbourhoods(space)])))
 
 
 def separation_profile(space: FiniteGT) -> SeparationProfile:
-    """T0/T1 by opens seeing one point of a pair and not the other, T2 by
-    least_open_cover on the pair, normality by the space's cached
-    clopen defect."""
-    n, opens = space.n, space.opens
-    t0 = t1 = t2 = True
-    for x in range(n):
-        for y in range(x + 1, n):
-            bx, by = 1 << x, 1 << y
-            sees_x = any(u & bx and not u & by for u in opens)
-            sees_y = any(u & by and not u & bx for u in opens)
-            t0 = t0 and (sees_x or sees_y)
-            t1 = t1 and (sees_x and sees_y)
-            t2 = t2 and least_open_cover(space, bx, by) is not None
+    """T0 when no two points share a least neighbourhood (the same opens),
+    T1 when each X - {y} is open (a union of one open per point missing y),
+    T2 (so T1) by least_open_cover on each pair, normal with no defect."""
+    n, full = space.n, space.full
+    t0 = len(set(_least_neighbourhoods(space))) == n
+    t1 = all(full ^ (1 << y) in space.open_set for y in range(n))
+    t2 = t1 and all(least_open_cover(space, 1 << x, 1 << y) is not None
+                    for x in range(n) for y in range(x + 1, n))
     return SeparationProfile(t0, t1, t2, space.defect is None)
 
 

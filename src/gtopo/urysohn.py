@@ -156,10 +156,11 @@ def decide_ul_pair(space: FiniteGT, a: int, b: int) -> Optional[FiniteFunction]:
     """Separating function into the interval topology, or None.
 
     The fibers of such a function partition the space into opens, so every
-    fiber is clopen.  The fiber of a is the least clopen separator, the
-    fiber of b the first clopen around b that leaves a clopen partition of
-    the rest; those fibers get values 0 and 1, the rest 2, 3, ... in
-    canonical order.
+    fiber is clopen.  The fiber of a is the least clopen separator ua, the
+    fiber of b the first clopen ub (X - ua at the latest) around b that
+    misses ua and leaves an open rest X - (ua | ub): the rest is closed, so
+    it splits into clopens exactly when it is open.  Values 0, 1, 2, ... go
+    to ua, ub and the blocks of its first clopen partition in canonical order.
     """
     _check_pair(space, a, b)
     if a == 0:
@@ -169,19 +170,14 @@ def decide_ul_pair(space: FiniteGT, a: int, b: int) -> Optional[FiniteFunction]:
     ua = clopen_separator(space, a, b)
     if ua is None:
         return None
-    for ub in space.clopens:
-        if b & ~ub or ub & ua:
-            continue
-        rest = next(_clopen_partitions(space.clopens,
-                                       space.full ^ (ua | ub)), None)
-        if rest is None:
-            continue
-        values = [Fraction(0)] * space.n
-        for k, m in enumerate((ua, ub, *sorted(rest, key=canonical_key))):
-            for p in points_from_mask(m):
-                values[p] = Fraction(k)
-        return FiniteFunction(tuple(values))
-    return None     # unreachable: the complement of ua is a clopen ub
+    ub = next(c for c in space.clopens if not b & ~c and not c & ua
+              and space.full ^ (ua | c) in space.open_set)
+    rest = next(_clopen_partitions(space.clopens, space.full ^ (ua | ub)))
+    values = [Fraction(0)] * space.n
+    for k, m in enumerate((ua, ub, *sorted(rest, key=canonical_key))):
+        for p in points_from_mask(m):
+            values[p] = Fraction(k)
+    return FiniteFunction(tuple(values))
 
 
 # ---------------------------------------------------------------- statements
@@ -706,25 +702,19 @@ def _aux_side_conditions(space, us, fs, u, f) -> bool:
 
 def extend_u_family(space: FiniteGT, fam: UFamily, a: int, b: int) -> UFamily:
     """Append one pair: the canonically least open-closed pair whose extended
-    family still satisfies all chain clauses.  The new label is the first
-    unit-enumeration rational not yet used.  The empty family bootstraps to
-    length 1."""
+    family still satisfies all chain clauses (the chain search one pair past
+    fam).  The new label is the first unit-enumeration rational not yet
+    used.  The empty family bootstraps to length 1."""
     rep = validate_u_family(space, fam, a, b)
     if not rep.ok:
         raise PreconditionError(f"invalid family: clause {rep.clause}, "
                                 f"{rep.detail}")
     label = next(q for q in enum_unit_rationals() if q not in fam.labels)
-    floor = fam.pairs[-1][1] if fam.length else a
-    for u in space.opens:
-        if floor & ~u:
-            continue
-        for f in space.closeds:
-            if u & ~f or f & b:
-                continue
-            cand = UFamily(fam.labels + (label,), fam.pairs + ((u, f),))
-            if validate_u_family(space, cand, a, b).ok:
-                return cand
-    raise NoExtension("no pair extends the family", blocking=(a, b))
+    us, fs = [u for u, _ in fam.pairs], [f for _, f in fam.pairs]
+    tops = [f for f in space.closeds if not f & b]
+    if not _extend_chain(space, a, tops, us, fs, fam.length + 1):
+        raise NoExtension("no pair extends the family", blocking=(a, b))
+    return UFamily(fam.labels + (label,), fam.pairs + ((us[-1], fs[-1]),))
 
 
 @dataclass(frozen=True)
@@ -780,30 +770,32 @@ def is_u_normal(space: FiniteGT, n_max: int = 3) -> UNormalReport:
 
 
 def _chain_family_exists(space: FiniteGT, a: int, b: int, n: int) -> bool:
-    """Depth-first search for a family of n+1 >= 2 pairs between a and the
-    complement of b meeting the chain clauses; by (F2) clause (iii) is
-    searched at the middle positions only."""
-    pool = [(u, f) for u in space.opens if a & ~u == 0
-            for f in space.closeds if u & ~f == 0 and not f & b]
-    us: list[int] = []
-    fs: list[int] = []
+    """Chain search from the empty prefix for a family of n+1 >= 2 pairs."""
+    tops = [f for f in space.closeds if not f & b]
+    return _extend_chain(space, a, tops, [], [], n + 1)
 
-    def dfs(i: int) -> bool:
-        if i == n + 1:
-            return all(_aux_pair_ok(space, us, fs, pos)
-                       for pos in range(1, n))
-        for u, f in pool:
-            if us and fs[-1] & ~u:
-                continue
-            if any((u & ~fs[j]) not in space.open_set for j in range(i)):
+
+def _extend_chain(space: FiniteGT, a: int, tops: list[int], us: list[int],
+                  fs: list[int], length: int) -> bool:
+    """Depth-first search extending a valid chain prefix us, fs to length
+    pairs (u, f), f in tops (the closeds missing b), in canonical order,
+    testing (i) and (ii) per pair and (iii) at the leaf: U_0 = F_0 in one
+    pair (F1), else the middle positions (F2); us, fs end on the family."""
+    if len(us) == length:
+        return ((length > 1 or us[0] == fs[0]) and
+                all(_aux_pair_ok(space, us, fs, pos)
+                    for pos in range(1, length - 1)))
+    floor = fs[-1] if fs else a
+    for u in space.opens:
+        if floor & ~u or any((u & ~g) not in space.open_set for g in fs):
+            continue
+        for f in tops:
+            if u & ~f:
                 continue
             us.append(u)
             fs.append(f)
-            found = dfs(i + 1)
+            if _extend_chain(space, a, tops, us, fs, length):
+                return True
             us.pop()
             fs.pop()
-            if found:
-                return True
-        return False
-
-    return dfs(0)
+    return False

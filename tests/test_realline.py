@@ -722,6 +722,17 @@ def test_ladder_spec_values():
         lad2.get(F(1, 3))
 
 
+def test_ladder_get_refuses_floats():
+    lad = ladder_from_F(S("[0,1]"), S("[2,3]"), "gtn", 2)
+    for r in (0.5, 0.1):
+        with pytest.raises(InputError,
+                           match=f"refusing inexact float index: {r}"):
+            lad.get(r)
+    assert lad.get("1/2") == lad.get(F(1, 2)) == S("(-inf,3/2)")
+    with pytest.raises(InputError, match="not a rational index"):
+        lad.get("half")
+
+
 def _assert_ladder_clauses(lad, a, b, space):
     idx = lad.indices()
     for r in idx:
