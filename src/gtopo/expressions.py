@@ -134,10 +134,13 @@ def _interval(m: re.Match, g: int, start: int, memo: dict) -> tuple:
     hi_closed = ket == "]"
     if hi_inf and hi_closed:
         raise ExprError("']' cannot take inf", m.start(g + 12))
-    if lo is not None and hi is not None and lo >= hi:
-        if lo != hi:
+    if lo is not None and hi is not None:
+        # the sign of lo - hi, by cross-multiplying over positive denominators
+        (ln, ld), (hn, hd) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        order = ln * hd - hn * ld
+        if order > 0:
             raise ExprError(f"reversed interval: {lo} > {hi}", start)
-        if not (lo_closed and hi_closed):
+        if order == 0 and not (lo_closed and hi_closed):
             raise ExprError("empty interval (equal endpoints need '[' and ']')",
                             start)
     return lo, hi, lo_closed, hi_closed

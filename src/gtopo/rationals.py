@@ -42,16 +42,23 @@ def enum_all_rationals() -> Iterator[Fraction]:
         yield -q
 
 
-def enum_unit_rationals() -> Iterator[Fraction]:
-    """Q within (0,1), reduced, by denominator then numerator:
-    1/2, 1/3, 2/3, 1/4, 3/4, 1/5, 2/5, 3/5, 4/5, 1/6, 5/6, 1/7, ...
-    """
+def unit_ratios() -> Iterator[tuple[int, int]]:
+    """(numerator, denominator) of each rational in (0,1), reduced, by
+    denominator then numerator: (1, 2), (1, 3), (2, 3), (1, 4), (3, 4), ..."""
     den = 2
     while True:
         for num in range(1, den):
             if math.gcd(num, den) == 1:
-                yield Fraction(num, den)
+                yield num, den
         den += 1
+
+
+def enum_unit_rationals() -> Iterator[Fraction]:
+    """Q within (0,1), reduced, by denominator then numerator:
+    1/2, 1/3, 2/3, 1/4, 3/4, 1/5, 2/5, 3/5, 4/5, 1/6, 5/6, 1/7, ...
+    """
+    for num, den in unit_ratios():
+        yield Fraction(num, den)
 
 
 def _simplest_positive(lo: Fraction, lo_closed: bool, hi, hi_closed: bool):

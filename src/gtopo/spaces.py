@@ -9,7 +9,7 @@ is a pure function so census sweeps can memoize freely.
 """
 
 import operator
-from collections import Counter
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
@@ -438,69 +438,114 @@ def enumerate_strong_gts(n: int) -> Iterator[FiniteGT]:
     yield from dfs(0)
 
 
+def join_supports(fams: list[int], k: int) -> list[int]:
+    """S(G - {}) = {a : a | b in G for every nonempty b in G} for each
+    family mask G of fams on k <= CENSUS_MAX_POINTS - 1 points.
+
+    A family mask on k points has bit s set when subset s is a member.  The
+    families are packed into 16-bit fields and worked on together: joins[b],
+    the family {a : a | b in G}, comes from joins[b - {x}] by one
+    mask-and-shift on a point x of b, and a member b of G keeps in S only
+    the a in joins[b].  The family with no nonempty member keeps every
+    subset."""
+    width = 1 << k
+    every = (1 << width) - 1
+    count = len(fams)
+    ones = int.from_bytes(b"\1\0" * count, "little")
+    packed = int.from_bytes(struct.pack(f"<{count}H", *fams), "little")
+    full = ones * every
+    # with_point[x]: the subsets holding x, in every field.  every over
+    # 2^(2^x) + 1 has 2^x ones at the start of each 2^(x+1) bits, on the
+    # subsets without x; the shift by 2^x moves them onto the ones with x.
+    with_point = [ones * (every // ((1 << (1 << x)) + 1) << (1 << x))
+                  for x in range(k)]
+    joins = [packed]
+    out = full
+    for b in range(1, width):
+        x = b.bit_length() - 1
+        held = joins[b ^ (1 << x)] & with_point[x]
+        joins.append(held | held >> (1 << x))
+        out &= joins[b] | (full ^ (packed >> b & ones) * every)
+    return list(struct.unpack(f"<{count}H", out.to_bytes(2 * count, "little")))
+
+
+def gt_masks(k: int) -> list[list[int]]:
+    """Every GT on j points, for j = 0..k <= CENSUS_MAX_POINTS - 1, as
+    family masks: one list per j, each built from the one below by the
+    point split of census_count."""
+    levels = [[1]]                      # the one GT on no points, {{}}
+    for j in range(1, k + 1):
+        below = levels[-1]
+        shift = 1 << (j - 1)
+        level = []
+        for g, s in zip(below, join_supports(below, j - 1)):
+            for b, support in ((g, g), (g & ~1, s)):
+                high = b << shift
+                level.extend(a | high for a in below if not a & ~support)
+        levels.append(level)
+    return levels
+
+
+def _outside_table(chunk: bytes, bits: int) -> list[int]:
+    """chunk holds one byte of each family, and the low bits of that byte
+    are subsets.  Bit i of the slice of subset s is set when family i holds
+    s; table[v], for every byte v, is the OR of the slices of the subsets
+    in v (no family holds a subset past bits, so those add nothing)."""
+    table = [0]
+    for s in range(bits):
+        held = int(chunk.translate((b"0" * (1 << s) + b"1" * (1 << s))
+                                   * (128 >> s)), 2)
+        table += [t | held for t in table]
+    return table * (256 >> bits)
+
+
 def census_count(n: int) -> int:
     """Number of strong GTs on n <= CENSUS_MAX_POINTS labeled points, got
-    without enumerating any n-point space; enumerate_strong_gts stays the
+    without enumerating any space; enumerate_strong_gts stays the
     enumeration path and the oracle for this count.
 
-    Split off the last point p and write X' = X - {p}.  A strong GT F on X
-    is exactly a pair (A, B) of families on X' such that A is a GT (holds
-    {} and is union-closed), B holds X' and is union-closed, and b | a is
-    in B for every a in A and b in B.  The pair of F is
-    A = {U in F : p not in U} and B = {U - {p} : p in U in F}.
-    - F to (A, B): both inherit union-closure, X in F puts X' in B, and
-      a | (b + p) in F puts b | a in B.
-    - (A, B) to F = A + {b + p : b in B}: F holds {} and X, and the unions
-      a | a', (b + p) | (b' + p) and a | (b + p) = (b | a) + p stay in F.
-    So the count is the sum over B of the number of GTs A inside
-    S(B) = {a <= X' : b | a in B for every b in B}.
-    - The Bs are each strong GT G on X' and, when X' is not empty, G - {}.
-    - S(G) = G: b = {} asks a in G, and union-closure gives the rest.
-      S(G - {}) holds G and is union-closed, so every S(B) is a strong GT
-      on X'.
-    - A GT A on X' is a strong GT on its union Y, so the As are the strong
-      GTs on |Y| points relabeled onto each Y <= X'.
+    Split off the last point p and write X' = X - {p}.  A family F on X is
+    the pair A = {U in F : p not in U}, B = {U - {p} : p in U in F} of
+    families on X'; as family masks F = A | (B << 2^|X'|).
+    - F is a GT (holds {} and is union-closed) exactly when A is a GT, B is
+      union-closed, and b | a is in B for every a in A and b in B.  F to
+      (A, B): {} is in A, unions on one side stay there, and a | (b + p) =
+      (b | a) + p is in F.  (A, B) to F: F holds {}, and the unions
+      a | a', (b + p) | (b' + p) and a | (b + p) = (b | a) + p are in F.
+    - Nothing asks B to hold {}: {p} need not be open.  Nor to be nonempty:
+      p may lie in no open.  So the Bs are G and G - {} for each GT G on X',
+      all distinct, since G = B + {{}}; G = {{}} gives the empty B.
+    - The last condition reads A <= S(B) = {a : b | a in B for every b in
+      B}.  S(G) = G: b = {} asks a in G, and union-closure gives the rest.
+      S(G - {}) = {a : a | b in G for every nonempty b in G}, since a | b
+      is nonempty; join_supports finds it, and for G = {{}} it is every
+      subset.  Each S(B) holds G and is union-closed ((a | a') | b =
+      (a | b) | (a' | b)), so it is a GT, strong when G is.
+    gt_masks builds the GTs on 0..n-1 points by this split.  F is strong
+    when X' is in B, so B is a strong G on X' or, when X' is not empty,
+    G - {}; and the count is the sum over strong GTs G on X' of N(G) +
+    N(S(G - {})), with N(S) the number of GTs on X' inside S.
 
-    Families on X' are bitmasks over its 2^(n-1) subsets.  The As are held
-    bit-sliced (slices[s] has bit j set when the j-th A holds subset s), so
-    the As inside S are those missing from every slice of a subset outside S.
+    N(S) is read off bit slices of the GTs on X', one per subset of X': the
+    GTs inside S are those in no slice of a subset outside S.  The ORs of
+    the slices come from a table for each byte of the family masks.
     """
     check_census_points(n)
     if n == 0:
         return 1                        # the empty space
     k = n - 1
-    top = (1 << k) - 1
-    smaller = [[h.opens for h in enumerate_strong_gts(j)] for j in range(n)]
-    slices = [0] * (1 << k)
-    total = 0
-    for y in range(top + 1):
-        points = points_from_mask(y)
-        # spread[m]: a subset m of 0..|Y|-1 relabeled onto Y
-        spread = [mask_from_points([points[i] for i in points_from_mask(m)],
-                                   k) for m in range(1 << len(points))]
-        for opens in smaller[len(points)]:
-            for u in opens:
-                slices[spread[u]] |= 1 << total
-            total += 1
-    groups: Counter[int] = Counter()
-    for opens in smaller[k]:
-        fam = sum(1 << u for u in opens)
-        groups[fam] += 1
-        if k:
-            # S(G - {}) holds G, so only the sets outside G are tested;
-            # opens[1:] are the nonempty opens of G
-            rest = opens[1:]
-            groups[fam | sum(1 << a for a in range(top + 1)
-                             if not fam >> a & 1
-                             and all(fam >> (b | a) & 1 for b in rest))] += 1
-    count = 0
-    for fam, mult in groups.items():
-        outside = 0
-        for s in range(top + 1):
-            if not fam >> s & 1:
-                outside |= slices[s]
-        count += mult * (total - outside.bit_count())
-    return count
+    width = 1 << k
+    gts = gt_masks(k)[k]
+    strong = [g for g in gts if g >> (width - 1) & 1]
+    raw = struct.pack(f"<{len(gts)}H", *gts)
+    low = _outside_table(raw[0::2], min(width, 8))
+    high = _outside_table(raw[1::2], max(width - 8, 0))
+    total = len(gts)
+    inside = {g: total - (low[~g & 255] | high[~g >> 8 & 255]).bit_count()
+              for g in strong}
+    # each S(G - {}) is itself a strong GT on X', so a key of inside
+    supports = join_supports(strong, k) if k else []
+    return sum(inside.values()) + sum(inside[s] for s in supports)
 
 
 def sample_strong_gts(n: int, count: int, seed: int) -> list[FiniteGT]:

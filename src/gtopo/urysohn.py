@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import (InputError, NoExtension, PreconditionError,
                      ResourceError, check_target)
-from .rationals import dyadics_by_level, enum_unit_rationals
+from .rationals import dyadics_by_level, unit_ratios
 from .spaces import (FiniteGT, canonical_key, clopen_separator,
                      closure, fmt_mask, least_open_cover, points_from_mask,
                      product, rect_factors, stretch_cols, stretch_rows)
@@ -709,7 +709,8 @@ def extend_u_family(space: FiniteGT, fam: UFamily, a: int, b: int) -> UFamily:
     if not rep.ok:
         raise PreconditionError(f"invalid family: clause {rep.clause}, "
                                 f"{rep.detail}")
-    label = next(q for q in enum_unit_rationals() if q not in fam.labels)
+    used = {q.as_integer_ratio() for q in fam.labels}
+    label = Fraction(*next(r for r in unit_ratios() if r not in used))
     us, fs = [u for u, _ in fam.pairs], [f for _, f in fam.pairs]
     tops = [f for f in space.closeds if not f & b]
     if not _extend_chain(space, a, tops, us, fs, fam.length + 1):

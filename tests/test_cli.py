@@ -252,22 +252,17 @@ def test_census_refusal_keeps_existing_out_file(tmp_path):
     assert out.read_bytes() == b"earlier bytes\n"
 
 
-def test_census_count_enumerates_no_five_point_space(monkeypatch, capsys):
+def test_census_count_enumerates_no_space(monkeypatch, capsys):
     from gtopo import spaces
 
-    def guarded(enum):
-        def wrapper(n):
-            if n >= 5:
-                raise AssertionError(f"enumerated {n}-point spaces")
-            return enum(n)
-        return wrapper
+    def refuse(n):
+        raise AssertionError(f"enumerated {n}-point spaces")
 
-    monkeypatch.setattr(spaces, "enumerate_strong_gts",
-                        guarded(spaces.enumerate_strong_gts))
-    monkeypatch.setattr(cli, "enumerate_strong_gts",
-                        guarded(cli.enumerate_strong_gts))
-    assert cli.main(["census", "--points", "5"]) == 0
-    assert json.loads(capsys.readouterr().out)["count"] == 1373701
+    monkeypatch.setattr(spaces, "enumerate_strong_gts", refuse)
+    monkeypatch.setattr(cli, "enumerate_strong_gts", refuse)
+    for n, count in enumerate((1, 1, 4, 45, 2271, 1373701)):
+        assert cli.main(["census", "--points", str(n)]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == count
 
 
 def test_census_count_agrees_with_the_streamed_paths(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 import time
@@ -8,10 +9,10 @@ import pytest
 from gtopo.errors import InputError, PreconditionError, ResourceError
 from gtopo.spaces import (
     SPACE_MAX_OPENS, SPACE_MAX_POINTS, FiniteGT, canonical_key, census_count,
-    close_under, closure, enumerate_strong_gts, generated_topology, interior,
-    make_space, mask_from_points, parse_space_dict, points_from_mask,
-    product, sample_strong_gts, separation_profile, space_to_dict, subspace,
-    validate_gt,
+    close_under, closure, enumerate_strong_gts, generated_topology, gt_masks,
+    interior, join_supports, make_space, mask_from_points, parse_space_dict,
+    points_from_mask, product, sample_strong_gts, separation_profile,
+    space_to_dict, subspace, validate_gt,
 )
 
 from census_oracle import brute_force_strong_gts
@@ -285,6 +286,59 @@ def test_census_counts_match_oracle():
         if n <= 4:
             assert sum(1 for _ in enumerate_strong_gts(n)) == expected
             assert len(brute_force_strong_gts(n)) == expected
+
+
+# GTs on j labeled points (union-closed families holding the empty set),
+# the Moore families of Habib and Nourine 2005, for j = 0..5
+MOORE_COUNTS = (1, 2, 7, 61, 2480, 1385552)
+
+
+def brute_force_gt_masks(j):
+    """Every family mask on j points, bit s for subset s, kept when it holds
+    the empty set and the union of any two members."""
+    subsets = range(1 << j)
+    return [f for f in range(1 << (1 << j))
+            if f & 1 and all(f >> (s | t) & 1 for s in subsets if f >> s & 1
+                             for t in subsets if f >> t & 1)]
+
+
+def test_gt_masks_match_brute_force():
+    levels = gt_masks(4)
+    assert [len(level) for level in levels] == list(MOORE_COUNTS[:5])
+    for j, level in enumerate(levels):
+        assert len(set(level)) == len(level)
+        if j <= 3:
+            assert sorted(level) == brute_force_gt_masks(j)
+    full = 1 << 15
+    strong = {f for f in levels[4] if f & full}
+    assert strong == {sum(1 << u for u in sp.opens)
+                      for sp in enumerate_strong_gts(4)}
+
+
+def test_join_supports_match_their_definition():
+    for k, level in enumerate(gt_masks(4)):
+        subsets = range(1 << k)
+        expected = [sum(1 << a for a in subsets
+                        if all(g >> (a | b) & 1 for b in subsets[1:]
+                               if g >> b & 1))
+                    for g in level]
+        assert join_supports(level, k) == expected
+    assert join_supports([], 3) == []
+
+
+def test_census_count_inverts_the_moore_counts():
+    # a GT on n points is a strong GT on its union, so
+    # M(n) = sum_j C(n, j) census(j), inverted by binomial inversion
+    for n in range(6):
+        assert census_count(n) == sum(
+            (-1) ** (n - j) * math.comb(n, j) * MOORE_COUNTS[j]
+            for j in range(n + 1))
+
+
+def test_census_count_five_is_fast():
+    start = time.perf_counter()
+    assert census_count(5) == ORACLE_COUNTS[5]
+    assert time.perf_counter() - start < 0.25
 
 
 def test_census_families_match_oracle_exactly():
