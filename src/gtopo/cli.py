@@ -36,9 +36,11 @@ from .spaces import (census_count, check_census_points, enumerate_strong_gts,
                      generated_topology, make_space, mask_from_points,
                      parse_space_dict, points_from_mask, product,
                      separation_profile, space_to_dict, validate_gt)
+# No handler calls effective_witness (props reads the cached defect), but
+# bench/tracing.py wraps it by its name on this module.
 from .urysohn import (STATEMENTS, check_extension_size, check_u_normal_length,
-                      decide_gul_pair, decide_statement, decide_ul_pair,
-                      effective_witness, is_u_normal)
+                      decide_gul_pair, decide_statement, decide_statements,
+                      decide_ul_pair, effective_witness, is_u_normal)
 
 
 def fmt_q(v) -> str:
@@ -95,9 +97,10 @@ def _run_props(args):
            "input": {"file": args.file, **space_to_dict(space)},
            "profile": {"t0": prof.t0, "t1": prof.t1, "t2": prof.t2,
                        "normal": prof.normal},
-           "statements": {st: decide_statement(space, st).holds
-                          for st in STATEMENTS},
-           "effectively_normal": effective_witness(space) is not None,
+           "statements": {rep.statement: rep.holds
+                          for rep in decide_statements(space, STATEMENTS)},
+           # a witness table exists exactly when there is no clopen defect
+           "effectively_normal": space.defect is None,
            "u_normal": {"n_max": un.n_max, "per_n": list(un.per_n),
                         "holds": un.all_hold}}
     return doc, 0
@@ -151,7 +154,7 @@ _CENSUS_PROPS = {
     "gul": lambda s: decide_statement(s, "GUL").holds,
     "tet": lambda s: decide_statement(s, "TET").holds,
     "gtet": lambda s: decide_statement(s, "GTET").holds,
-    "effectively-normal": lambda s: effective_witness(s) is not None,
+    "effectively-normal": lambda s: s.defect is None,
     "u-normal": lambda s: is_u_normal(s).all_hold,
 }
 

@@ -300,11 +300,29 @@ def subspace(space: FiniteGT, a: int) -> FiniteGT:
     return FiniteGT(len(points), canonical_family(traces))
 
 
+# product builds, sorts and prints every open of the product, each a set of
+# up to n1 * n2 points, so its time is linear in opens x points: about
+# 1.2 us a cell, from the 7-point powerset squared (16,130 opens on 49
+# points, 0.94 s) to a 48-point chain squared (2,305 opens on 2,304 points,
+# 7.6 s).  Above this many cells it is refused, before any work.
+PRODUCT_MAX_CELLS = 1_000_000
+
+
 def product(s1: FiniteGT, s2: FiniteGT) -> FiniteGT:
-    """Cross GT on X1 x X2 (row-major): opens (U x X2) | (X1 x V)."""
+    """Cross GT on X1 x X2 (row-major): opens (U x X2) | (X1 x V).
+
+    Its open count is known up front: (|O1| - 1)(|O2| - 1) + 1.  U = X1 or
+    V = X2 gives the whole product; otherwise the complement of the open is
+    the nonempty rectangle (X1 - U) x (X2 - V), which gives back U and V.
+    Products of more than PRODUCT_MAX_CELLS opens x points are refused with
+    ResourceError before any open is built."""
     if not (s1.is_strong and s2.is_strong):
         raise PreconditionError("product requires strong factors")
     n = s1.n * s2.n
+    count = (len(s1.opens) - 1) * (len(s2.opens) - 1) + 1
+    if count * n > PRODUCT_MAX_CELLS:
+        raise ResourceError(f"product has {count} opens on {n} points, above "
+                            f"{PRODUCT_MAX_CELLS} opens x points; refusing")
     rows = {u: stretch_rows(u, s1.n, s2.n) for u in s1.opens}
     cols = {v: stretch_cols(v, s1.n, s2.n) for v in s2.opens}
     opens = {rows[u] | cols[v] for u in s1.opens for v in s2.opens}

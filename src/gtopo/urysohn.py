@@ -19,9 +19,10 @@ the statements collapse onto clopens:
 
 So one scan, the clopen defect (`spaces.clopen_defect`, cached once per
 space as `FiniteGT.defect`), decides normality, UL, GUL and effective
-normality: a witness table exists exactly when there is no defect.  GTET
-walks each closed set's clopen chains in one fused search that carries
-the clopens of the space still able to trace them.
+normality: a witness table exists exactly when there is no defect.  TET
+and GTET share one walk over the closed sets, and GTET walks each closed
+set's clopen chains in one fused search that carries the clopens of the
+space still able to trace them.
 
 Chain normality rests on the same kernel.  A pair with a clopen separator c
 has the family (c, c), ..., (c, c) of every length; a pair without one
@@ -194,7 +195,15 @@ STATEMENTS = ("UL", "GUL", "TET", "GTET")
 
 
 def decide_statement(space: FiniteGT, statement: str) -> StatementReport:
-    """Decide one of the four separation statements exactly.
+    """Decide one of the four separation statements exactly: the report of
+    decide_statements for that statement alone."""
+    return decide_statements(space, (statement,))[0]
+
+
+def decide_statements(space: FiniteGT, statements: Iterable[str] = STATEMENTS
+                      ) -> list[StatementReport]:
+    """Decide the given separation statements exactly, in one pass, and
+    report them in the order asked.
 
     UL and GUL fail at the space's clopen defect, the first disjoint closed
     pair that the pair deciders cannot separate; it is scanned once per
@@ -203,18 +212,53 @@ def decide_statement(space: FiniteGT, statement: str) -> StatementReport:
     a continuous fiber structure on the whole space whose trace is the given
     one; the counterexample is the first structure, in the order of
     first_unlifted_structure, that has none.
+
+    TET and GTET are decided in one walk over the closed sets in canonical
+    order, which stops once each statement asked has its counterexample.
+    The empty set and the whole space are passed by: every structure on
+    them lifts to itself.  Each other closed set a gets its trace-clopens
+    and tracing, the clopens of the space grouped by their trace on a, once
+    for both statements.  Two facts keep the walk exact.
+
+    - The skip.  a and the empty set are always trace-clopens of a, as the
+      traces of the opens X and {} with complements each other in a.  When
+      they are the only ones, a has one TET structure, the partition (a),
+      which the clopen partition (X) of the space traces; and one GTET
+      structure, the chain {} < a, whose lift asks for no clopen at all (no
+      prefix lies strictly between).  So no counterexample is on a, and a
+      is skipped.
+    - The grouped lift search.  Every clopen E of the space traces a
+      trace-clopen E & a: it is the trace of the open E, and its complement
+      a - E in a is the trace of the open X - E.  So tracing has a key for
+      each clopen, and tracing[c] lists, in the order of space.clopens,
+      exactly the clopens E with E & a = c.  A TET lift needs E_i & a =
+      part[i] for block i and a GTET lift needs D_j & a = p_j for prefix
+      p_j, so each search draws its candidates for c from tracing[c] alone:
+      the same candidates, in the same order, as a scan of every clopen
+      under the test E & a = c.
     """
-    st = statement.upper()
-    if st not in STATEMENTS:
-        raise InputError(f"statement must be one of {STATEMENTS}, got {statement!r}")
+    sts = []
+    for statement in statements:
+        st = statement.upper()
+        if st not in STATEMENTS:
+            raise InputError(f"statement must be one of {STATEMENTS}, "
+                             f"got {statement!r}")
+        sts.append(st)
     if not space.is_strong:
         raise PreconditionError("statements are decided on strong spaces")
-    if st in ("UL", "GUL"):
-        pair = space.defect
-        return StatementReport(st, pair is None, pair=pair)
-    check_extension_size(space.n)
-    ce = first_unlifted_structure(space, st)
-    return StatementReport(st, ce is None, counterexample=ce)
+    extension = [st for st in sts if st in ("TET", "GTET")]
+    if extension:
+        check_extension_size(space.n)
+    found = _unlifted_structures(space, extension) if extension else {}
+    reports = []
+    for st in sts:
+        if st in ("UL", "GUL"):
+            pair = space.defect
+            reports.append(StatementReport(st, pair is None, pair=pair))
+        else:
+            ce = found.get(st)
+            reports.append(StatementReport(st, ce is None, counterexample=ce))
+    return reports
 
 
 def first_unlifted_structure(space: FiniteGT, statement: str
@@ -222,29 +266,55 @@ def first_unlifted_structure(space: FiniteGT, statement: str
     """The TET or GTET counterexample of a strong space, or None; no size
     check (decide_statement refuses above EXTENSION_MAX_POINTS first).
 
-    Closed sets a are taken in canonical order, except the empty set and
-    the whole space, where every structure lifts to itself.  The structures
-    on a are built from its trace-clopens in descending order, so the
-    counterexample is the first structure in lexicographic order of
-    descending blocks.  GTET walks the clopen chains on a in that order in
-    one fused search (_first_unlifted_chain).  TET takes the clopen
-    partitions of a in turn, each with its own depth-first search for a
-    clopen partition of the space that traces it: on the 4- and 5-point
+    The structures on a closed set a are built from its trace-clopens in
+    descending order, so the counterexample is the first structure, on the
+    first closed set in canonical order that has one, in lexicographic order
+    of descending blocks.
+    """
+    return _unlifted_structures(space, (statement,)).get(statement)
+
+
+def _unlifted_structures(space: FiniteGT, statements
+                         ) -> dict[str, tuple[int, tuple[tuple[int, Fraction], ...]]]:
+    """The counterexample of each of the given extension statements that
+    fails, found in the one walk of decide_statements (no size check).
+
+    GTET walks the clopen chains on a in one fused search.  TET takes the
+    clopen partitions of a in turn, each with its own depth-first search for
+    a clopen partition of the space that traces it: on the 4- and 5-point
     spaces of the props workload that is faster than a fused walk.
     """
+    found = {}
+    todo = list(statements)
     for a in space.closeds:
         if a == 0 or a == space.full:
             continue
-        traces = {u & a for u in space.opens}
-        tclopens = sorted((c for c in traces if a ^ c in traces), reverse=True)
-        if statement == "GTET":
-            part = _first_unlifted_chain(space, a, tclopens)
-        else:
-            part = next((p for p in _clopen_partitions(tclopens, a)
-                         if not _extends_partition(space, a, p)), None)
-        if part is not None:
-            return a, _partition_values(part)
-    return None
+        tclopens = _trace_clopens(space, a)
+        if len(tclopens) == 2:          # only a and the empty set
+            continue
+        tracing = {c: [] for c in tclopens}
+        for d in space.clopens:
+            tracing[d & a].append(d)
+        for st in todo:
+            if st == "GTET":
+                part = _first_unlifted_chain(space, a, tclopens, tracing)
+            else:
+                part = next((p for p in _clopen_partitions(tclopens, a)
+                             if not _extends_partition(space, a, p, tracing)),
+                            None)
+            if part is not None:
+                found[st] = a, _partition_values(part)
+        todo = [st for st in todo if st not in found]
+        if not todo:
+            break
+    return found
+
+
+def _trace_clopens(space: FiniteGT, a: int) -> list[int]:
+    """The clopens of the subspace a, descending: the traces u & a of opens
+    whose complement in a is a trace too."""
+    traces = {u & a for u in space.opens}
+    return sorted((c for c in traces if a ^ c in traces), reverse=True)
 
 
 def check_extension_size(n: int) -> None:
@@ -261,8 +331,9 @@ def check_u_normal_length(n_max: int) -> None:
                             f"{U_NORMAL_MAX_LENGTH}; refusing")
 
 
-def _first_unlifted_chain(space: FiniteGT, a: int,
-                          tclopens: list[int]) -> Optional[tuple[int, ...]]:
+def _first_unlifted_chain(space: FiniteGT, a: int, tclopens: list[int],
+                          tracing: dict[int, list[int]]
+                          ) -> Optional[tuple[int, ...]]:
     """First gtaun-continuous fiber structure on the subspace a that no
     clopen chain of the space traces, or None.
 
@@ -270,7 +341,7 @@ def _first_unlifted_chain(space: FiniteGT, a: int,
     by a depth-first walk that extends the prefix p by each trace-clopen
     above it, in the order of tclopens.  It lifts when there are nested
     clopens D_1 <= ... <= D_(k-1) of the space with D_j & a = p_j, so the
-    walk carries the reach of its prefix: the clopens D with D & a = p that
+    walk carries the reach of its prefix: the clopens D in tracing[p] that
     contain a clopen of the reach one step back (the empty set at the
     root).  A chain lifts exactly when no step empties the reach.  What is
     left to decide below a node depends only on (p, reach), so a node whose
@@ -278,9 +349,6 @@ def _first_unlifted_chain(space: FiniteGT, a: int,
     The first empty reach marks the first unlifted chain in walk order: its
     first completion, because a leads tclopens, is the one block a - p.
     """
-    tracing = {c: [] for c in tclopens}
-    for d in space.clopens:
-        tracing[d & a].append(d)
     lifted = set()
     blocks: list[int] = []
 
@@ -324,16 +392,18 @@ def _clopen_partitions(clopens, region: int) -> Iterator[tuple[int, ...]]:
                 yield (c, *rest)
 
 
-def _extends_partition(space: FiniteGT, a: int, part: tuple[int, ...]) -> bool:
+def _extends_partition(space: FiniteGT, a: int, part: tuple[int, ...],
+                       tracing: dict[int, list[int]]) -> bool:
     """Disjoint clopens E_i of the space with E_i & a the i-th block of part
-    and union the whole space, i.e. a clopen partition tracing part on a."""
+    and union the whole space, i.e. a clopen partition tracing part on a;
+    block i is drawn from tracing[part[i]], the clopens with that trace."""
     last = len(part) - 1
 
     def dfs(i: int, used: int) -> bool:
         if i == last:   # the rest is closed, as the complement of opens
             return space.full ^ used in space.open_set
-        return any(dfs(i + 1, used | e) for e in space.clopens
-                   if e & used == 0 and e & a == part[i])
+        return any(dfs(i + 1, used | e) for e in tracing[part[i]]
+                   if e & used == 0)
 
     return not part or dfs(0, 0)
 
@@ -635,8 +705,11 @@ def validate_u_family(space: FiniteGT, fam: UFamily, a: int,
     searched at the middle positions of a longer one (F1, F2 in
     is_u_normal)."""
     _check_u_pair(space, a, b)
-    labels = fam.labels
-    if len(set(labels)) != len(labels) or any(not 0 < r < 1 for r in labels):
+    # in lowest terms with a positive denominator, so 0 < r < 1 reads
+    # 0 < n < d, and equal labels have equal ratios
+    ratios = [r.as_integer_ratio() for r in fam.labels]
+    if (len(set(ratios)) != len(ratios)
+            or any(not 0 < n < d for n, d in ratios)):
         return CheckReport(False, "labels",
                            "labels must be distinct rationals in (0,1)")
     us = [u for u, _ in fam.pairs]

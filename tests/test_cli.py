@@ -1,6 +1,7 @@
 """End-to-end CLI checks: exit codes, report shapes, byte determinism."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -212,6 +213,17 @@ def test_product_report(files):
     assert doc["product"]["open_sets"] == [[], [0, 1], [0, 1, 2, 3]]
 
 
+def test_product_refuses_by_size_before_building(files, capsys):
+    nine = files("pow9.json", {"points": 9, "open_sets": [
+        [p for p in range(9) if m >> p & 1] for m in range(1 << 9)]})
+    start = time.perf_counter()
+    code = cli.main(["product", nine, nine])
+    assert time.perf_counter() - start < 0.5
+    assert (code, *capsys.readouterr()) == (
+        2, "", "error: product has 261122 opens on 81 points, above 1000000 "
+               "opens x points; refusing\n")
+
+
 def test_census_counts_and_filters(files):
     assert run_json("census", "--points", "2")["count"] == 4
     assert run_json("census", "--points", "0")["count"] == 1
@@ -284,6 +296,26 @@ def test_reports_are_byte_identical(files):
     c = run_cli("census", "--points", "3").stdout
     d = run_cli("census", "--points", "3").stdout
     assert c == d
+
+
+# sha256 of the props reports, concatenated, on every strong GT on at most 3
+# points and on sample_strong_gts(5, 40, seed=5151), each read from the
+# relative path space.json.
+PROPS_DIGEST = ("7409a97635f74fc7462832a0310f07683db3497ad6fb9033d8d4dbd352"
+                "0cfbe3")
+
+
+def test_props_stdout_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    from gtopo.spaces import (enumerate_strong_gts, sample_strong_gts,
+                              space_to_dict)
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for s in ([s for n in range(4) for s in enumerate_strong_gts(n)]
+              + sample_strong_gts(5, 40, seed=5151)):
+        (tmp_path / "space.json").write_text(json.dumps(space_to_dict(s)))
+        assert cli.main(["props", "space.json"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == PROPS_DIGEST
 
 
 def test_timing_goes_to_stderr_only(files):

@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+import gtopo.spaces as spaces_module
 from gtopo.errors import InputError, PreconditionError, ResourceError
 from gtopo.spaces import (
     SPACE_MAX_OPENS, SPACE_MAX_POINTS, FiniteGT, canonical_key, census_count,
@@ -225,6 +226,24 @@ def test_product_requires_strong_factors():
     strong = space(2, [], [0, 1])
     with pytest.raises(PreconditionError):
         product(weak, strong)
+
+
+def test_product_open_count_is_known_up_front():
+    spaces3 = [s for n in range(1, 4) for s in enumerate_strong_gts(n)]
+    for s1 in spaces3:
+        for s2 in spaces3:
+            assert len(product(s1, s2).opens) == (
+                (len(s1.opens) - 1) * (len(s2.opens) - 1) + 1)
+
+
+def test_product_refuses_above_the_cell_ceiling(monkeypatch):
+    powerset2 = space(2, [], [0], [1], [0, 1])
+    # 10 opens on 4 points: 40 cells
+    monkeypatch.setattr(spaces_module, "PRODUCT_MAX_CELLS", 40)
+    assert len(product(powerset2, powerset2).opens) == 10
+    monkeypatch.setattr(spaces_module, "PRODUCT_MAX_CELLS", 39)
+    with pytest.raises(ResourceError, match="10 opens on 4 points"):
+        product(powerset2, powerset2)
 
 
 # ---------------------------------------------------------------- tau(mu)

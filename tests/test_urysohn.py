@@ -637,8 +637,9 @@ def test_u_family_difference_clause_violation():
 
 def test_u_family_label_and_shape_validation():
     a, b = m(0, n=2), m(1, n=2)
-    bad = UFamily((F(3, 2),), ((a, a),))
-    assert validate_u_family(DISCRETE2, bad, a, b).clause == "labels"
+    for r in (F(3, 2), F(0), F(1), F(-1, 2)):
+        bad = UFamily((r,), ((a, a),))
+        assert validate_u_family(DISCRETE2, bad, a, b).clause == "labels"
     dup = UFamily((F(1, 2), F(1, 2)), ((a, a), (a, a)))
     assert validate_u_family(DISCRETE2, dup, a, b).clause == "labels"
     with pytest.raises(InputError):
