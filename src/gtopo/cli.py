@@ -144,17 +144,22 @@ def _run_product(args):
     return doc, 0
 
 
+def _no_defect(s) -> bool:
+    """Normal, UL, GUL and effectively normal: each is clopen separation."""
+    return s.defect is None
+
+
 _CENSUS_PROPS = {
     "topology": lambda s: s.is_topology,
     "t0": lambda s: separation_profile(s).t0,
     "t1": lambda s: separation_profile(s).t1,
     "t2": lambda s: separation_profile(s).t2,
-    "normal": lambda s: separation_profile(s).normal,
-    "ul": lambda s: decide_statement(s, "UL").holds,
-    "gul": lambda s: decide_statement(s, "GUL").holds,
+    "normal": _no_defect,
+    "ul": _no_defect,
+    "gul": _no_defect,
     "tet": lambda s: decide_statement(s, "TET").holds,
     "gtet": lambda s: decide_statement(s, "GTET").holds,
-    "effectively-normal": lambda s: s.defect is None,
+    "effectively-normal": _no_defect,
     "u-normal": lambda s: is_u_normal(s).all_hold,
 }
 

@@ -1,13 +1,13 @@
 """Exact enumerations of the rationals.
 
-Three deterministic streams, all in exact Fraction arithmetic:
+Three deterministic streams, all exact:
 
 * the Calkin-Wilf walk of the positive rationals (each appears exactly once,
   O(1) arithmetic per step),
 * an enumeration of all of Q: 0 first, then the walk interleaved with its
   negatives,
-* an enumeration of Q within (0,1): reduced fractions by denominator, then
-  numerator.
+* an enumeration of Q within (0,1) as (numerator, denominator) pairs:
+  reduced fractions by denominator, then numerator.
 
 first_in_interval finds the first term of enum_all_rationals() inside an
 interval in closed form: the Calkin-Wilf and Stern-Brocot trees share their
@@ -51,14 +51,6 @@ def unit_ratios() -> Iterator[tuple[int, int]]:
             if math.gcd(num, den) == 1:
                 yield num, den
         den += 1
-
-
-def enum_unit_rationals() -> Iterator[Fraction]:
-    """Q within (0,1), reduced, by denominator then numerator:
-    1/2, 1/3, 2/3, 1/4, 3/4, 1/5, 2/5, 3/5, 4/5, 1/6, 5/6, 1/7, ...
-    """
-    for num, den in unit_ratios():
-        yield Fraction(num, den)
 
 
 def _simplest_positive(lo: Fraction, lo_closed: bool, hi, hi_closed: bool):

@@ -230,14 +230,11 @@ def make_space(n: int, family: Iterable[int]) -> FiniteGT:
 # ---------------------------------------------------------------- operators
 
 def closure(space: FiniteGT, a: int) -> int:
-    """Intersection of all closed supersets of a (the whole space is always
-    closed, so the intersection is never over an empty collection)."""
+    """Intersection of all closed supersets of a, read as the complement of
+    the interior of X - a: the closed sets are exactly the complements of
+    the opens, so X - cl(a) is the union of the opens that miss a."""
     _check_masks([a], space.n)
-    acc = space.full
-    for c in space.closeds:
-        if a & ~c == 0:
-            acc &= c
-    return acc
+    return space.full ^ interior(space, space.full ^ a)
 
 
 def interior(space: FiniteGT, a: int) -> int:

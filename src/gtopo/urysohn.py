@@ -20,16 +20,17 @@ the statements collapse onto clopens:
 So one scan, the clopen defect (`spaces.clopen_defect`, cached once per
 space as `FiniteGT.defect`), decides normality, UL, GUL and effective
 normality: a witness table exists exactly when there is no defect.  TET
-and GTET share one walk over the closed sets, and GTET walks each closed
-set's clopen chains in one fused search that carries the clopens of the
-space still able to trace them.
+and GTET share one walk over the closed sets, `decide_statements`, and GTET
+walks each closed set's clopen chains in one fused search that carries the
+clopens of the space still able to trace them.
 
 Chain normality rests on the same kernel.  A pair with a clopen separator c
 has the family (c, c), ..., (c, c) of every length; a pair without one
 needs a strictly rising chain a < U_0 < F_0 < ... < F_n < X-b < X, hence
 2n+5 points, for a family of n+1 pairs, so the chain-family search runs
 only on the pairs with no clopen separator and only where such a chain fits
-(never on 6 points or fewer, where the blocking pair is the defect).
+(never on 6 points or fewer, where the blocking pair is the defect); it
+and family validation share one test of clause (iii).
 """
 
 from dataclasses import dataclass
@@ -210,8 +211,10 @@ def decide_statements(space: FiniteGT, statements: Iterable[str] = STATEMENTS
     space (FiniteGT.defect).  The extension statements take every closed
     set a and every continuous fiber structure on its subspace, and ask for
     a continuous fiber structure on the whole space whose trace is the given
-    one; the counterexample is the first structure, in the order of
-    first_unlifted_structure, that has none.
+    one.  The counterexample is the first structure that has none, on the
+    first closed set in canonical order that has one; the structures on a
+    are built from its trace-clopens in descending order, so they come in
+    lexicographic order of descending blocks.
 
     TET and GTET are decided in one walk over the closed sets in canonical
     order, which stops once each statement asked has its counterexample.
@@ -259,19 +262,6 @@ def decide_statements(space: FiniteGT, statements: Iterable[str] = STATEMENTS
             ce = found.get(st)
             reports.append(StatementReport(st, ce is None, counterexample=ce))
     return reports
-
-
-def first_unlifted_structure(space: FiniteGT, statement: str
-                             ) -> Optional[tuple[int, tuple[tuple[int, Fraction], ...]]]:
-    """The TET or GTET counterexample of a strong space, or None; no size
-    check (decide_statement refuses above EXTENSION_MAX_POINTS first).
-
-    The structures on a closed set a are built from its trace-clopens in
-    descending order, so the counterexample is the first structure, on the
-    first closed set in canonical order that has one, in lexicographic order
-    of descending blocks.
-    """
-    return _unlifted_structures(space, (statement,)).get(statement)
 
 
 def _unlifted_structures(space: FiniteGT, statements
@@ -347,18 +337,17 @@ def _first_unlifted_chain(space: FiniteGT, a: int, tclopens: list[int],
     left to decide below a node depends only on (p, reach), so a node whose
     subtree holds no failure is remembered and skipped when met again.
     The first empty reach marks the first unlifted chain in walk order: its
-    first completion, because a leads tclopens, is the one block a - p.
+    first completion, because a leads tclopens, is the one block a - p, and
+    its blocks are built on the way back up.
     """
     lifted = set()
-    blocks: list[int] = []
 
-    def fails(prefix: int, reach: tuple[int, ...]) -> bool:
+    def unlifted(prefix: int, reach: tuple[int, ...]):
         if prefix == a or (prefix, reach) in lifted:
-            return False
+            return None
         for c in tclopens:
             if c & prefix != prefix or c == prefix:
                 continue
-            blocks.append(c ^ prefix)
             nxt = []
             for d in tracing[c]:
                 for r in reach:
@@ -366,15 +355,14 @@ def _first_unlifted_chain(space: FiniteGT, a: int, tclopens: list[int],
                         nxt.append(d)
                         break
             if not nxt:
-                blocks.append(a ^ c)
-                return True
-            if fails(c, tuple(nxt)):
-                return True
-            blocks.pop()
+                return c ^ prefix, a ^ c
+            rest = unlifted(c, tuple(nxt))
+            if rest is not None:
+                return c ^ prefix, *rest
         lifted.add((prefix, reach))
-        return False
+        return None
 
-    return tuple(blocks) if fails(0, (0,)) else None
+    return unlifted(0, (0,))
 
 
 def _clopen_partitions(clopens, region: int) -> Iterator[tuple[int, ...]]:
@@ -730,12 +718,10 @@ def validate_u_family(space: FiniteGT, fam: UFamily, a: int,
                 return CheckReport(
                     False, "(ii)",
                     f"U at position {j} minus F at position {i} is not open")
-    if k == 1 and us[0] != fs[0]:
-        return CheckReport(False, "(iii)", "no auxiliary pair for position 0")
-    for i in range(1, k - 1):
-        if not _aux_pair_ok(space, us, fs, i):
-            return CheckReport(
-                False, "(iii)", f"no auxiliary pair for position {i}")
+    i = _first_aux_failure(space, us, fs)
+    if i is not None:
+        return CheckReport(False, "(iii)",
+                           f"no auxiliary pair for position {i}")
     return CheckReport(True)
 
 
@@ -743,6 +729,16 @@ def _check_u_pair(space, a, b):
     _check_pair(space, a, b)
     if a == 0 or b == 0:
         raise PreconditionError("the chain clauses are about nonempty pairs")
+
+
+def _first_aux_failure(space, us, fs) -> Optional[int]:
+    """The first position where clause (iii) fails, or None, on a family
+    that meets (i): U_0 = F_0 in a one-pair family (F1 in is_u_normal), else
+    an auxiliary pair at each middle position (F2)."""
+    if len(us) == 1:
+        return None if us[0] == fs[0] else 0
+    return next((i for i in range(1, len(us) - 1)
+                 if not _aux_pair_ok(space, us, fs, i)), None)
 
 
 def _aux_pair_ok(space, us, fs, i) -> bool:
@@ -853,12 +849,10 @@ def _extend_chain(space: FiniteGT, a: int, tops: list[int], us: list[int],
                   fs: list[int], length: int) -> bool:
     """Depth-first search extending a valid chain prefix us, fs to length
     pairs (u, f), f in tops (the closeds missing b), in canonical order,
-    testing (i) and (ii) per pair and (iii) at the leaf: U_0 = F_0 in one
-    pair (F1), else the middle positions (F2); us, fs end on the family."""
+    testing (i) and (ii) per pair and (iii) at the leaf; us, fs end on the
+    family."""
     if len(us) == length:
-        return ((length > 1 or us[0] == fs[0]) and
-                all(_aux_pair_ok(space, us, fs, pos)
-                    for pos in range(1, length - 1)))
+        return _first_aux_failure(space, us, fs) is None
     floor = fs[-1] if fs else a
     for u in space.opens:
         if floor & ~u or any((u & ~g) not in space.open_set for g in fs):

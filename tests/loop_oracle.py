@@ -17,7 +17,7 @@ import operator
 from fractions import Fraction
 
 from gtopo.errors import NoExtension, PreconditionError
-from gtopo.rationals import enum_unit_rationals
+from gtopo.rationals import unit_ratios
 from gtopo.spaces import (FiniteGT, SeparationProfile, canonical_family,
                           canonical_key, clopen_separator, least_open_cover,
                           points_from_mask)
@@ -101,7 +101,8 @@ def extend_u_family(space: FiniteGT, fam: UFamily, a: int, b: int) -> UFamily:
     if not rep.ok:
         raise PreconditionError(f"invalid family: clause {rep.clause}, "
                                 f"{rep.detail}")
-    label = next(q for q in enum_unit_rationals() if q not in fam.labels)
+    label = next(q for q in (Fraction(*r) for r in unit_ratios())
+                 if q not in fam.labels)
     floor = fam.pairs[-1][1] if fam.length else a
     for u in space.opens:
         if floor & ~u:

@@ -199,11 +199,19 @@ def test_witness_negative_and_errors(files):
             "--a", "[0,1]", "--b", "[2]", "--mode", "gul", expect=2)
     run_cli("witness", files("d.json", DIAMOND),
             "--a", "0,1", "--b", "[2]", "--mode", "gul", expect=2)
+    proc = run_cli("witness", files("d.json", DIAMOND),
+                   "--a", '{"x": 1}', "--b", "[2]", "--mode", "gul", expect=2)
+    assert (proc.stdout, proc.stderr) == (
+        "", "error: point set for --a must be a JSON list\n")
 
 
 def test_tau_generates_the_topology(files):
     doc = run_json("tau", files("d.json", DIAMOND))
     assert doc["topology"]["open_sets"] == [[], [1], [0, 1], [1, 2], [0, 1, 2]]
+    proc = run_cli("tau", files("w.json", {"points": 2, "open_sets": [[], [0]]}),
+                   expect=2)
+    assert (proc.stdout, proc.stderr) == (
+        "", "error: generated topology requires a strong space\n")
 
 
 def test_product_report(files):
@@ -262,6 +270,10 @@ def test_census_refusal_keeps_existing_out_file(tmp_path):
     proc = run_cli("census", "--points", "-1", "--out", str(out), expect=2)
     assert proc.stderr == "error: point count must be >= 0, got -1\n"
     assert out.read_bytes() == b"earlier bytes\n"
+    missing = tmp_path / "no-such-dir" / "x.jsonl"
+    proc = run_cli("census", "--points", "2", "--out", str(missing), expect=2)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot write {missing}: ")
 
 
 def test_census_count_enumerates_no_space(monkeypatch, capsys):
@@ -286,6 +298,47 @@ def test_census_count_agrees_with_the_streamed_paths(tmp_path):
     # labeled topologies on 4 points (OEIS A000798)
     assert run_json("census", "--points", "4",
                     "--where", "topology")["count"] == 355
+
+
+def _census_where(capsys, n, where):
+    assert cli.main(["census", "--points", str(n), "--where", where]) == 0
+    return json.loads(capsys.readouterr().out)["count"]
+
+
+def test_census_clopen_properties_count_as_their_deciders(capsys):
+    from gtopo.spaces import enumerate_strong_gts, separation_profile
+    from gtopo.urysohn import decide_statement, effective_witness, is_u_normal
+    deciders = {
+        "normal": lambda s: separation_profile(s).normal,
+        "ul": lambda s: decide_statement(s, "UL").holds,
+        "gul": lambda s: decide_statement(s, "GUL").holds,
+        "effectively-normal": lambda s: effective_witness(s) is not None,
+        "u-normal": lambda s: is_u_normal(s).all_hold,
+    }
+    for n in range(5):
+        spaces = list(enumerate_strong_gts(n))
+        counts = {where: _census_where(capsys, n, where) for where in deciders}
+        assert len(set(counts.values())) == 1, (n, counts)
+        for where, decide in deciders.items():
+            assert counts[where] == sum(map(decide, spaces)), (n, where)
+
+
+def test_census_clopen_properties_read_only_the_defect(monkeypatch, capsys):
+    from gtopo import spaces, urysohn
+
+    def refuse(*args):
+        raise AssertionError("census decided a clopen property the long way")
+
+    for owner, name in ((cli, "separation_profile"),
+                        (cli, "decide_statement"),
+                        (cli, "decide_statements"),
+                        (spaces, "separation_profile"),
+                        (urysohn, "decide_statement"),
+                        (urysohn, "decide_statements")):
+        monkeypatch.setattr(owner, name, refuse)
+    for where in ("normal", "ul", "gul", "effectively-normal"):
+        counts = [_census_where(capsys, n, where) for n in range(5)]
+        assert counts == [1, 1, 4, 35, 857], where
 
 
 def test_reports_are_byte_identical(files):

@@ -18,8 +18,7 @@ from gtopo import cli
 from gtopo.spaces import (clopen_defect, enumerate_strong_gts, make_space,
                           sample_strong_gts)
 from gtopo.urysohn import (STATEMENTS, StatementReport, decide_statement,
-                           decide_statements, effective_witness,
-                           first_unlifted_structure)
+                           decide_statements, effective_witness)
 
 from statement_oracle import chain_report, extension_report
 
@@ -50,7 +49,7 @@ def test_extension_searches_match_oracles_on_six_and_seven_points():
         oracles = {"GTET": chain_report(s), "TET": extension_report(s, "TET")}
         walk = urysohn._unlifted_structures(s, ("TET", "GTET"))
         for statement, oracle in oracles.items():
-            ce = first_unlifted_structure(s, statement)
+            ce = urysohn._unlifted_structures(s, (statement,)).get(statement)
             assert StatementReport(statement, ce is None,
                                    counterexample=ce) == oracle
             assert walk.get(statement) == oracle.counterexample
@@ -80,7 +79,8 @@ def test_fused_memo_keeps_reaches_apart():
     s = make_space(*REACH_APART)
     oracle = chain_report(s)
     assert not oracle.holds
-    assert first_unlifted_structure(s, "GTET") == oracle.counterexample
+    assert (urysohn._unlifted_structures(s, ("GTET",)).get("GTET")
+            == oracle.counterexample)
 
 
 def test_extension_searches_skip_the_empty_set_and_the_whole_space(

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gtopo.errors import InputError
 from gtopo.rationals import (
     calkin_wilf, dyadic_neighbors, dyadics_by_level, enum_all_rationals,
-    enum_unit_rationals, first_in_interval, is_dyadic_unit,
+    first_in_interval, is_dyadic_unit, unit_ratios,
 )
 
 
@@ -41,8 +41,8 @@ def test_all_rationals_interleaves_signs():
 def test_unit_rationals_by_denominator():
     expect = [F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4),
               F(1, 5), F(2, 5), F(3, 5), F(4, 5), F(1, 6), F(5, 6)]
-    assert take(enum_unit_rationals(), 11) == expect
-    for q in take(enum_unit_rationals(), 200):
+    assert take((F(*r) for r in unit_ratios()), 11) == expect
+    for q in take((F(*r) for r in unit_ratios()), 200):
         assert 0 < q < 1
 
 

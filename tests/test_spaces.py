@@ -63,6 +63,11 @@ def test_validate_point_out_of_range():
         validate_gt([0, 0b100], 2)
     with pytest.raises(InputError):
         make_space(2, [0, 0b1000])
+    with pytest.raises(InputError, match="^point count must be >= 0, got -1$"):
+        make_space(-1, [])
+    for junk in (True, -1):
+        with pytest.raises(InputError, match=f"^not a bitmask: {junk!r}$"):
+            make_space(2, [junk])
 
 
 def test_make_space_rejects_non_gt():
@@ -402,6 +407,12 @@ def test_sampler_deterministic_distinct_valid():
     for sp in a:
         r = validate_gt(sp.opens, 4)
         assert r.is_gt and r.is_strong
+    with pytest.raises(InputError, match="^sampling needs at least one point$"):
+        sample_strong_gts(0, 1, seed=7)
+    # one point carries a single strong GT, so a second is never found
+    with pytest.raises(ResourceError, match="^could not find 2 distinct "
+                                            "strong GTs on 1 points$"):
+        sample_strong_gts(1, 2, seed=7)
 
 
 # ---------------------------------------------------------------- plumbing

@@ -527,6 +527,9 @@ def test_effective_witness_clopen_partition():
 
 def test_effective_witness_non_normal():
     assert effective_witness(SIERPINSKI3) is None
+    with pytest.raises(PreconditionError,
+                       match="^effective witnesses need a strong space$"):
+        effective_witness(space(2, [], [0]))
     assert normality_defect(SIERPINSKI3) == (m(0, n=3), m(2, n=3))
     assert normality_defect(CLOPEN4) is None
 
