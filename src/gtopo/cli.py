@@ -36,11 +36,14 @@ from .spaces import (census_count, check_census_points, enumerate_strong_gts,
                      generated_topology, make_space, mask_from_points,
                      parse_space_dict, points_from_mask, product,
                      separation_profile, space_to_dict, validate_gt)
-# No handler calls effective_witness (props reads the cached defect), but
-# bench/tracing.py wraps it by its name on this module.
-from .urysohn import (STATEMENTS, check_extension_size, check_u_normal_length,
+# No handler calls decide_statement(s) or effective_witness (props and
+# census read the cached defect and extension_holds), but bench/tracing.py
+# wraps decide_statement and effective_witness by their names on this
+# module, and the tests refuse all three here to pin that.
+from .urysohn import (check_extension_size, check_u_normal_length,
                       decide_gul_pair, decide_statement, decide_statements,
-                      decide_ul_pair, effective_witness, is_u_normal)
+                      decide_ul_pair, effective_witness, extension_holds,
+                      is_u_normal)
 
 
 def fmt_q(v) -> str:
@@ -97,9 +100,10 @@ def _run_props(args):
            "input": {"file": args.file, **space_to_dict(space)},
            "profile": {"t0": prof.t0, "t1": prof.t1, "t2": prof.t2,
                        "normal": prof.normal},
-           "statements": {rep.statement: rep.holds
-                          for rep in decide_statements(space, STATEMENTS)},
-           # a witness table exists exactly when there is no clopen defect
+           # UL, GUL and a witness table: each is clopen separation
+           "statements": {"UL": space.defect is None,
+                          "GUL": space.defect is None,
+                          **extension_holds(space, ("TET", "GTET"))},
            "effectively_normal": space.defect is None,
            "u_normal": {"n_max": un.n_max, "per_n": list(un.per_n),
                         "holds": un.all_hold}}
@@ -157,8 +161,8 @@ _CENSUS_PROPS = {
     "normal": _no_defect,
     "ul": _no_defect,
     "gul": _no_defect,
-    "tet": lambda s: decide_statement(s, "TET").holds,
-    "gtet": lambda s: decide_statement(s, "GTET").holds,
+    "tet": lambda s: extension_holds(s, ("TET",))["TET"],
+    "gtet": lambda s: extension_holds(s, ("GTET",))["GTET"],
     "effectively-normal": _no_defect,
     "u-normal": lambda s: is_u_normal(s).all_hold,
 }

@@ -104,7 +104,14 @@ class FiniteGT:
 
     @cached_property
     def closeds(self) -> tuple[int, ...]:
-        return canonical_family(self.full ^ u for u in self.opens)
+        """The complements of the opens, in canonical order with no sort:
+        complementing reverses canonical order.  It sends cardinality k to
+        n - k.  Within one cardinality A comes before B exactly when the
+        lowest point of A ^ B lies in A (the point tuples first differ
+        there).  X - A and X - B have the same symmetric difference, and
+        its lowest point, in A, lies in X - B, so X - B comes first."""
+        full = self.full
+        return tuple(full ^ u for u in reversed(self.opens))
 
     @cached_property
     def closed_set(self) -> frozenset[int]:

@@ -20,9 +20,18 @@ the statements collapse onto clopens:
 So one scan, the clopen defect (`spaces.clopen_defect`, cached once per
 space as `FiniteGT.defect`), decides normality, UL, GUL and effective
 normality: a witness table exists exactly when there is no defect.  TET
-and GTET share one walk over the closed sets, `decide_statements`, and GTET
-walks each closed set's clopen chains in one fused search that carries the
-clopens of the space still able to trace them.
+and GTET share one walk over the closed sets, and GTET walks each closed
+set's clopen chains in one fused search that carries the clopens of the
+space still able to trace them.
+
+The walk splits the verdict from the explanation.  A prefix scan traces the
+closed sets in canonical order and stops at the first certificate: a closed
+a with a trace-clopen c that no clopen of the space traces.  By the lemma in
+extension_holds both statements then fail on a, so `extension_holds` reads
+the verdicts off the certificate and searches only when there is none,
+while `decide_statements`, which names the first counterexample, runs the
+ordered search over the same prefix: that counterexample lies at or before
+the certificate's closed set.
 
 Chain normality rests on the same kernel.  A pair with a clopen separator c
 has the family (c, c), ..., (c, c) of every length; a pair without one
@@ -216,12 +225,17 @@ def decide_statements(space: FiniteGT, statements: Iterable[str] = STATEMENTS
     are built from its trace-clopens in descending order, so they come in
     lexicographic order of descending blocks.
 
-    TET and GTET are decided in one walk over the closed sets in canonical
-    order, which stops once each statement asked has its counterexample.
-    The empty set and the whole space are passed by: every structure on
-    them lifts to itself.  Each other closed set a gets its trace-clopens
-    and tracing, the clopens of the space grouped by their trace on a, once
-    for both statements.  Two facts keep the walk exact.
+    This is the explanation; extension_holds gives the verdicts alone, and
+    the same ones.  TET and GTET are decided in one ordered search over the
+    entries of the prefix scan (_traced_closeds), which stops once each
+    statement asked has its counterexample.  The scan ends at the first
+    certificate, a closed set on which both statements fail (see
+    extension_holds), so every counterexample lies within it, and each
+    closed set is traced at most once.  The empty set and the whole space
+    are passed by: every structure on them lifts to itself.  Each other
+    closed set a gets its trace-clopens and tracing, the clopens of the
+    space grouped by their trace on a, once for both statements.  Two facts
+    keep the walk exact.
 
     - The skip.  a and the empty set are always trace-clopens of a, as the
       traces of the opens X and {} with complements each other in a.  When
@@ -240,18 +254,8 @@ def decide_statements(space: FiniteGT, statements: Iterable[str] = STATEMENTS
       the same candidates, in the same order, as a scan of every clopen
       under the test E & a = c.
     """
-    sts = []
-    for statement in statements:
-        st = statement.upper()
-        if st not in STATEMENTS:
-            raise InputError(f"statement must be one of {STATEMENTS}, "
-                             f"got {statement!r}")
-        sts.append(st)
-    if not space.is_strong:
-        raise PreconditionError("statements are decided on strong spaces")
+    sts = _checked_statements(space, statements, STATEMENTS)
     extension = [st for st in sts if st in ("TET", "GTET")]
-    if extension:
-        check_extension_size(space.n)
     found = _unlifted_structures(space, extension) if extension else {}
     reports = []
     for st in sts:
@@ -264,18 +268,62 @@ def decide_statements(space: FiniteGT, statements: Iterable[str] = STATEMENTS
     return reports
 
 
-def _unlifted_structures(space: FiniteGT, statements
-                         ) -> dict[str, tuple[int, tuple[tuple[int, Fraction], ...]]]:
-    """The counterexample of each of the given extension statements that
-    fails, found in the one walk of decide_statements (no size check).
+def extension_holds(space: FiniteGT, statements: Iterable[str] = ("TET", "GTET")
+                    ) -> dict[str, bool]:
+    """The verdict of each extension statement asked, TET or GTET, keyed in
+    the order asked; the holds of decide_statements, with no counterexample.
 
-    GTET walks the clopen chains on a in one fused search.  TET takes the
-    clopen partitions of a in turn, each with its own depth-first search for
-    a clopen partition of the space that traces it: on the 4- and 5-point
-    spaces of the props workload that is faster than a fused walk.
+    The prefix scan (_traced_closeds) stops at the first certificate: a
+    closed set a with a trace-clopen c that is the trace c = E & a of no
+    clopen E of the space.  Then every statement fails, with no search.
+    Otherwise the ordered search runs over the entries the scan kept.
+
+    Lemma.  Let c be a trace-clopen of a closed a such that no clopen E has
+    E & a = c.  Then TET and GTET both fail, with a counterexample on a.
+    First, c is neither {} nor a: the clopens {} and X trace those (the
+    space is strong, so X is open and {} closed).  TET: the partition
+    {c, a - c} of a into trace-clopens is a taun-continuous structure on a.
+    A clopen partition of the space tracing it would hold a clopen E with
+    E & a = c, or one E' with E' & a = a - c; then X - E' is clopen, as the
+    complement of a clopen, and traces a - (a - c) = c.  Either way c has a
+    clopen tracing it, so the partition has no lift.  GTET: the chain
+    {} < c < a is a gtaun-continuous structure on a, and its lift needs a
+    clopen D_1 with D_1 & a = c, which does not exist.
     """
-    found = {}
-    todo = list(statements)
+    sts = _checked_statements(space, statements, ("TET", "GTET"))
+    entries = []
+    for entry in _traced_closeds(space):
+        if not all(entry[2].values()):
+            return {st: False for st in sts}
+        entries.append(entry)
+    found = _unlifted_structures(space, sts, entries)
+    return {st: st not in found for st in sts}
+
+
+def _checked_statements(space: FiniteGT, statements: Iterable[str],
+                        allowed: tuple[str, ...]) -> list[str]:
+    """The statements upper-cased, each one of allowed, on a strong space
+    within the extension size bound when an extension statement is asked."""
+    sts = []
+    for statement in statements:
+        st = statement.upper()
+        if st not in allowed:
+            raise InputError(f"statement must be one of {allowed}, "
+                             f"got {statement!r}")
+        sts.append(st)
+    if not space.is_strong:
+        raise PreconditionError("statements are decided on strong spaces")
+    if "TET" in sts or "GTET" in sts:
+        check_extension_size(space.n)
+    return sts
+
+
+def _traced_closeds(space: FiniteGT
+                    ) -> Iterator[tuple[int, list[int], dict[int, list[int]]]]:
+    """The prefix scan: (a, tclopens, tracing) for each closed set a in
+    canonical order that is not skipped (see decide_statements), lazily.  It
+    stops after the first a with an empty tracing[c]: that certifies that
+    both extension statements fail on a (the lemma of extension_holds)."""
     for a in space.closeds:
         if a == 0 or a == space.full:
             continue
@@ -285,6 +333,26 @@ def _unlifted_structures(space: FiniteGT, statements
         tracing = {c: [] for c in tclopens}
         for d in space.clopens:
             tracing[d & a].append(d)
+        yield a, tclopens, tracing
+        if not all(tracing.values()):
+            return
+
+
+def _unlifted_structures(space: FiniteGT, statements, entries=None
+                         ) -> dict[str, tuple[int, tuple[tuple[int, Fraction], ...]]]:
+    """The counterexample of each of the given extension statements that
+    fails: the ordered search over the entries of the prefix scan, which
+    it runs itself when none are given (no size check).
+
+    GTET walks the clopen chains on a in one fused search.  TET takes the
+    clopen partitions of a in turn, each with its own depth-first search for
+    a clopen partition of the space that traces it: on the 4- and 5-point
+    spaces of the props workload that is faster than a fused walk.
+    """
+    found = {}
+    todo = list(statements)
+    for a, tclopens, tracing in (_traced_closeds(space) if entries is None
+                                 else entries):
         for st in todo:
             if st == "GTET":
                 part = _first_unlifted_chain(space, a, tclopens, tracing)

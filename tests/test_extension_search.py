@@ -4,8 +4,10 @@ The fused GTET search is checked against the search it replaced, the
 per-structure chain search of statement_oracle (one depth-first search per
 clopen chain), and TET against the brute-force partition filter.  The one
 walk that decides every statement at once is checked against the
-one-statement calls.  On 6 and 7 points decide_statement refuses, so the
-searches are called below its size check.
+one-statement calls, and the verdicts alone (extension_holds, read off the
+certificate scan) against the walk and the oracles; the certificate lemma
+is checked against the brute-force oracle.  On 6 and 7 points
+decide_statement refuses, so the searches are called below its size check.
 """
 
 import io
@@ -18,9 +20,11 @@ from gtopo import cli
 from gtopo.spaces import (clopen_defect, enumerate_strong_gts, make_space,
                           sample_strong_gts)
 from gtopo.urysohn import (STATEMENTS, StatementReport, decide_statement,
-                           decide_statements, effective_witness)
+                           decide_statements, effective_witness,
+                           extension_holds)
 
-from statement_oracle import chain_report, extension_report
+from statement_oracle import (_extends, chain_report, continuous_partitions,
+                              extension_report)
 
 
 def census4():
@@ -32,6 +36,20 @@ def six_and_seven():
     # most are on 6 points
     return (sample_strong_gts(6, 170, seed=1106)
             + sample_strong_gts(7, 30, seed=1107))
+
+
+def untraced(s, a):
+    """The trace-clopens of the closed set a that no clopen of the space
+    traces."""
+    traces = {u & a for u in s.opens}
+    traced = {d & a for d in s.clopens}
+    return [c for c in traces if a ^ c in traces and c not in traced]
+
+
+def first_certificate(s):
+    """The first closed set, in canonical order, with an untraced
+    trace-clopen, or None."""
+    return next((a for a in s.closeds if untraced(s, a)), None)
 
 
 def test_fused_gtet_matches_chain_oracle_up_to_five_points():
@@ -59,6 +77,50 @@ def test_one_walk_matches_the_one_statement_calls():
     for s in census4() + sample_strong_gts(5, 3000, seed=1101):
         assert decide_statements(s) == [decide_statement(s, st)
                                         for st in STATEMENTS]
+
+
+def test_verdicts_match_the_walk_and_the_oracles():
+    """extension_holds gives the verdicts of decide_statements.  Against the
+    oracles it is checked directly for TET on the census and on every fifth
+    sampled space; test_fused_gtet_matches_chain_oracle_up_to_five_points
+    pins the walk's GTET to chain_report on all of these spaces."""
+    sampled = sample_strong_gts(5, 3000, seed=1101)
+    for s in census4() + sampled:
+        assert extension_holds(s) == {rep.statement: rep.holds for rep in
+                                      decide_statements(s, ("TET", "GTET"))}
+    for s in census4() + sampled[::5]:
+        assert extension_holds(s, ("TET",))["TET"] == extension_report(
+            s, "TET").holds
+
+
+def test_verdicts_match_the_walk_on_six_and_seven_points(monkeypatch):
+    monkeypatch.setattr(urysohn, "EXTENSION_MAX_POINTS", 7)
+    for s in six_and_seven():
+        found = urysohn._unlifted_structures(s, ("TET", "GTET"))
+        assert extension_holds(s, ("GTET", "tet")) == {
+            "GTET": "GTET" not in found, "TET": "TET" not in found}
+
+
+def test_certificates_are_counterexamples_to_both_statements():
+    """The lemma of extension_holds, against the brute-force oracle: when no
+    clopen traces the trace-clopen c of the closed set a, neither the
+    partition {c, a - c} nor the chain {} < c < a lifts.  Checked for every
+    such c on the first such a, at or after which the first counterexamples
+    of decide_statements lie."""
+    checked = 0
+    for s in census4() + sample_strong_gts(5, 3000, seed=1101)[::10]:
+        a = first_certificate(s)
+        if a is None:
+            continue
+        assert not any(extension_holds(s).values())
+        assert all(s.closeds.index(rep.counterexample[0]) <= s.closeds.index(a)
+                   for rep in decide_statements(s, ("TET", "GTET")))
+        for target in ("taun", "gtaun"):
+            xparts = continuous_partitions(s.open_set, s.full, target)
+            for c in untraced(s, a):
+                assert not _extends((c, a ^ c), a, xparts, target)
+                checked += 1
+    assert checked
 
 
 def test_one_walk_reports_in_the_order_asked():
@@ -101,6 +163,54 @@ def test_extension_searches_skip_the_empty_set_and_the_whole_space(
     assert all(a not in (0, full) for full, a in seen)
 
 
+class CountedLookups(dict):
+    """A tracing mapping that counts the lookups the GTET search makes."""
+
+    count = 0
+
+    def __getitem__(self, c):
+        self.count += 1
+        return super().__getitem__(c)
+
+
+def reachable_lookups(a, tclopens, tracing):
+    """The lookups of a search that expands each (prefix, reach) state once:
+    one per trace-clopen above the prefix, over every state reachable from
+    the root, stopping at a."""
+    seen, todo, total = set(), [(0, (0,))], 0
+    while todo:
+        prefix, reach = todo.pop()
+        if prefix == a or (prefix, reach) in seen:
+            continue
+        seen.add((prefix, reach))
+        for c in tclopens:
+            if c & prefix == prefix and c != prefix:
+                total += 1
+                nxt = tuple(d for d in tracing[c]
+                            if any(d & r == r for r in reach))
+                if nxt:
+                    todo.append((c, nxt))
+    return total
+
+
+def test_fused_memo_expands_each_state_once():
+    """Where every chain lifts the search visits every reachable state, and
+    with the memo it expands each once; without it a state reached along two
+    chains is expanded twice."""
+    lifted = 0
+    for s in six_and_seven()[::10]:
+        for a, tclopens, tracing in urysohn._traced_closeds(s):
+            counted = CountedLookups(tracing)
+            found = urysohn._first_unlifted_chain(s, a, tclopens, counted)
+            bound = reachable_lookups(a, tclopens, tracing)
+            if found is None:
+                assert counted.count == bound
+                lifted += 1
+            else:
+                assert counted.count <= bound
+    assert lifted
+
+
 # ---------------------------------------------------------------- one scan
 
 PINCH = {"points": 3, "open_sets": [[], [0], [0, 1], [0, 2], [0, 1, 2]]}
@@ -138,29 +248,37 @@ def test_props_walks_each_closed_set_once_and_builds_no_table(monkeypatch,
 
     monkeypatch.setattr(urysohn, "effective_witness", refuse)
     monkeypatch.setattr(cli, "effective_witness", refuse)
-    walks, traced = [], []
-    walk, trace = urysohn._unlifted_structures, urysohn._trace_clopens
+    searches, traced = [], []
+    search, trace = urysohn._unlifted_structures, urysohn._trace_clopens
 
-    def counted_walk(space, statements):
-        walks.append(tuple(statements))
-        return walk(space, statements)
+    def counted_search(space, statements, *entries):
+        searches.append(tuple(statements))
+        return search(space, statements, *entries)
 
     def counted_trace(space, a):
         traced.append(a)
         return trace(space, a)
 
-    monkeypatch.setattr(urysohn, "_unlifted_structures", counted_walk)
+    monkeypatch.setattr(urysohn, "_unlifted_structures", counted_search)
     monkeypatch.setattr(urysohn, "_trace_clopens", counted_trace)
     path = tmp_path / "space.json"
+    kinds = set()
     for s in census4()[::5] + sample_strong_gts(5, 40, seed=1101):
         path.write_text(json.dumps(spaces.space_to_dict(s)))
-        walks.clear()
+        searches.clear()
         traced.clear()
         with redirect_stdout(io.StringIO()):
             assert cli.main(["props", str(path)]) == 0
-        assert walks == [("TET", "GTET")]
         assert len(traced) == len(set(traced))
         assert set(traced) <= set(s.closeds) - {0, s.full}
+        cert = first_certificate(s)
+        kinds.add(cert is None)
+        if cert is None:
+            assert searches == [("TET", "GTET")]
+        else:
+            assert searches == []
+            assert traced[-1] == cert
+    assert kinds == {True, False}
     for n in range(4):
         with redirect_stdout(io.StringIO()) as out:
             assert cli.main(["census", "--points", str(n),
