@@ -36,14 +36,13 @@ from .spaces import (census_count, check_census_points, enumerate_strong_gts,
                      generated_topology, make_space, mask_from_points,
                      parse_space_dict, points_from_mask, product,
                      separation_profile, space_to_dict, validate_gt)
-# No handler calls decide_statement(s) or effective_witness (props and
-# census read the cached defect and extension_holds), but bench/tracing.py
-# wraps decide_statement and effective_witness by their names on this
-# module, and the tests refuse all three here to pin that.
+# No handler calls decide_statement or effective_witness (props and census
+# read the cached defect and extension_holds), but bench/tracing.py wraps
+# them by their names on this module, and the tests refuse both here to pin
+# that.
 from .urysohn import (check_extension_size, check_u_normal_length,
-                      decide_gul_pair, decide_statement, decide_statements,
-                      decide_ul_pair, effective_witness, extension_holds,
-                      is_u_normal)
+                      decide_gul_pair, decide_statement, decide_ul_pair,
+                      effective_witness, extension_holds, is_u_normal)
 
 
 def fmt_q(v) -> str:

@@ -10,7 +10,7 @@ touch floating point.
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
 from .symsets import (EMPTY_SET, Endpoint, Interval, SymbolicSet, as_fraction,

@@ -4,9 +4,20 @@
 * gts: gtn plus the half-closed rays [a,∞) and unions (−∞,a) ∪ [b,∞), a < b.
 
 Neither family is intersection-closed, so these are GT spaces and not
-topologies.  Both open catalogs (and the matching closed catalogs) are finite
-in form, which makes everything here decidable by pattern matching on
-canonical SymbolicSets: classification, closures, Urysohn-style ramps between
+topologies.  One rule (_closed_ends) gives their closed sets: ∅ and the
+intervals whose finite lower end is closed and whose finite upper end is
+closed in gtn, either way in gts.  Its corollary is the closed catalogs:
+gtn has ∅, ℝ, (−∞,a], [a,∞) and [a,b], and gts adds (−∞,a) and [a,b).
+
+Proof.  The lists are the complements of the open lists, and they hold
+exactly the sets the rule admits.  So the hull of a nonempty s, with its
+finite lower end closed and its finite upper end closed in gtn, and in gts
+when sup s is attained, is closed and holds s.  Every closed T ⊇ s is one
+interval over it that holds its closed ends: the lower by the rule, the
+upper by the rule in gtn and as a point of s in gts.  So the hull is the
+closure of s, s is closed when it is its own closure, and open when its
+complement is closed.  Everything here is decidable by reading canonical
+SymbolicSets: classification, closures, Urysohn-style ramps between
 gap-separated closed sets, Tietze-style extensions off closed pieces,
 continuity verdicts for piecewise-affine maps, the effective separation
 function F, which splits at the first qualifying rational of a fixed
@@ -47,80 +58,72 @@ def _check_space(space: str) -> None:
         raise InputError(f"unknown space {space!r}: expected one of {SPACES}")
 
 
-def _is_open_form(s: SymbolicSet, space: str) -> bool:
-    comps = s.components
-    if len(comps) == 0:
-        return True
-    if len(comps) == 1:
-        c = comps[0]
-        if c.lo is None and c.hi is None:
-            return True
-        if c.lo is None:
-            return not c.hi_closed                       # (-inf, a)
-        if c.hi is None:
-            return not c.lo_closed or space == "gts"     # (a, inf) / [a, inf)
-        return False
-    if len(comps) == 2:
-        left, right = comps
-        if left.lo is not None or left.hi_closed or right.hi is not None:
-            return False
-        # canonical form already forces a <= b (a < b when right starts closed)
-        return not right.lo_closed or space == "gts"
-    return False
+def _closed_ends(lo, hi, hi_attained: bool, space: str) -> tuple[bool, bool]:
+    """(lo_closed, hi_closed) of the least closed set over the hull from lo
+    to hi: the one place the two catalogs differ (see the module docstring)."""
+    return lo is not None, hi is not None and (hi_attained or space == "gtn")
 
 
 def _is_closed_form(s: SymbolicSet, space: str) -> bool:
+    """Is s its own closure: empty, or one interval with its rule flags?"""
     comps = s.components
-    if len(comps) == 0:
-        return True
-    if len(comps) > 1:
-        return False
+    if len(comps) != 1:
+        return not comps
     c = comps[0]
-    if c.lo is None and c.hi is None:
+    lo_closed, hi_closed = _closed_ends(c.lo, c.hi, c.hi_closed, space)
+    return c.lo_closed == lo_closed and c.hi_closed == hi_closed
+
+
+def _is_open_form(s: SymbolicSet, space: str) -> bool:
+    """Is the complement of s closed?  It is ℝ when s = ∅ and ∅ when s = ℝ.
+    Otherwise it is one interval exactly when s is at most a ray from −∞
+    and a ray to +∞: the gap between them (−∞ or +∞ where one is missing),
+    its end flags the negated flags of theirs.  It is read off, not built."""
+    comps = s.components
+    if not comps:
         return True
-    if c.lo is None:
-        return c.hi_closed or space == "gts"             # (-inf,a] / (-inf,a)
-    if c.hi is None:
-        return c.lo_closed                               # [a, inf)
-    if c.lo_closed and c.hi_closed:
-        return True                                      # [a, b]
-    return space == "gts" and c.lo_closed and not c.hi_closed   # [a, b)
+    first, last = comps[0], comps[-1]
+    left, right = first.lo is None, last.hi is None
+    gaps = len(comps) + 1 - left - right
+    if gaps != 1:
+        return gaps == 0
+    hi_closed = right and not last.lo_closed
+    return (left and not first.hi_closed, hi_closed) == _closed_ends(
+        first.hi if left else None, last.lo if right else None, hi_closed,
+        space)
 
 
 def classify(s: SymbolicSet, space: str) -> str:
     _check_space(space)
-    o, c = _is_open_form(s, space), _is_closed_form(s, space)
-    if o and c:
-        return "clopen"
-    if o:
-        return "open"
-    if c:
-        return "closed"
-    return "neither"
+    c = _is_closed_form(s, space)
+    if _is_open_form(s, space):
+        return "clopen" if c else "open"
+    return "closed" if c else "neither"
 
 
 def closure_sym(s: SymbolicSet, space: str) -> SymbolicSet:
-    """Least closed-catalog superset: the hull, with end flags per catalog."""
+    """Least closed superset: the hull, with the end flags of _closed_ends."""
     _check_space(space)
     if s.is_empty:
         return EMPTY_SET
     lo, _ = s.inf()
     hi, hi_attained = s.sup()
-    lo_closed = lo is not None
-    if space == "gtn":
-        hi_closed = hi is not None
-    else:
-        # [a,b) and (-inf,a) are gts-closed, so an unattained sup stays open
-        hi_closed = hi is not None and hi_attained
+    lo_closed, hi_closed = _closed_ends(lo, hi, hi_attained, space)
     return SymbolicSet((Interval(lo, hi, lo_closed, hi_closed),))
 
 
 # --- separation ramps -------------------------------------------------------
 
-def _check_closed_pair(a: SymbolicSet, b: SymbolicSet, space: str) -> None:
-    for name, s in (("a", a), ("b", b)):
+def _require_closed(space: str, **sets: SymbolicSet) -> None:
+    for name, s in sets.items():
         if not _is_closed_form(s, space):
             raise PreconditionError(f"{name} is not closed in {space}")
+
+
+def _check_closed_pair(a: SymbolicSet, b: SymbolicSet, space: str) -> None:
+    # Checked on every ladder rung: the keyword call is made only on failure.
+    if not (_is_closed_form(a, space) and _is_closed_form(b, space)):
+        _require_closed(space, a=a, b=b)
     if not a.isdisjoint(b):
         raise PreconditionError("a and b intersect")
 
@@ -256,8 +259,7 @@ def tietze_extend(p: SymbolicSet, f: PiecewiseMap, target: str) -> PiecewiseMap:
     the extension is accepted exactly then: for gtaun when f is monotone and
     continuous on p, for taun when f is constant on p."""
     check_target(target)
-    if not _is_closed_form(p, "gtn"):
-        raise PreconditionError("p is not closed in gtn")
+    _require_closed("gtn", p=p)
     if p.is_empty or p.is_all:
         raise PreconditionError("p must be a proper nonempty closed set")
     c = p.components[0]
@@ -423,9 +425,7 @@ class LiftedWitness:
 def product_gul_witness(a1: SymbolicSet, a2: SymbolicSet, b1: SymbolicSet,
                         b2: SymbolicSet, space: str) -> LiftedWitness:
     _check_space(space)
-    for name, s in (("a1", a1), ("a2", a2), ("b1", b1), ("b2", b2)):
-        if not _is_closed_form(s, space):
-            raise PreconditionError(f"{name} is not closed in {space}")
+    _require_closed(space, a1=a1, a2=a2, b1=b1, b2=b2)
     if a1.is_empty or a2.is_empty:
         return LiftedWitness(1, constant_map(1))
     if b1.is_empty or b2.is_empty:

@@ -159,8 +159,7 @@ def decide_gul_pair(space: FiniteGT, a: int, b: int) -> Optional[FiniteFunction]
     u = clopen_separator(space, a, b)
     if u is None:
         return None
-    return FiniteFunction(tuple(Fraction(0) if u >> p & 1 else Fraction(1)
-                                for p in range(space.n)))
+    return _step_function((u, space.full ^ u))
 
 
 def decide_ul_pair(space: FiniteGT, a: int, b: int) -> Optional[FiniteFunction]:
@@ -184,11 +183,12 @@ def decide_ul_pair(space: FiniteGT, a: int, b: int) -> Optional[FiniteFunction]:
     ub = next(c for c in space.clopens if not b & ~c and not c & ua
               and space.full ^ (ua | c) in space.open_set)
     rest = next(_clopen_partitions(space.clopens, space.full ^ (ua | ub)))
-    values = [Fraction(0)] * space.n
-    for k, m in enumerate((ua, ub, *sorted(rest, key=canonical_key))):
-        for p in points_from_mask(m):
-            values[p] = Fraction(k)
-    return FiniteFunction(tuple(values))
+    return _step_function((ua, ub, *sorted(rest, key=canonical_key)))
+
+
+def _step_function(blocks: tuple[int, ...]) -> FiniteFunction:
+    """The function with value k on block k of a partition of the points."""
+    return FiniteFunction(tuple(v for _, v in _partition_values(blocks)))
 
 
 # ---------------------------------------------------------------- statements
@@ -256,7 +256,8 @@ def decide_statements(space: FiniteGT, statements: Iterable[str] = STATEMENTS
     """
     sts = _checked_statements(space, statements, STATEMENTS)
     extension = [st for st in sts if st in ("TET", "GTET")]
-    found = _unlifted_structures(space, extension) if extension else {}
+    found = (_unlifted_structures(space, extension, _traced_closeds(space))
+             if extension else {})
     reports = []
     for st in sts:
         if st in ("UL", "GUL"):
@@ -338,11 +339,10 @@ def _traced_closeds(space: FiniteGT
             return
 
 
-def _unlifted_structures(space: FiniteGT, statements, entries=None
+def _unlifted_structures(space: FiniteGT, statements, entries
                          ) -> dict[str, tuple[int, tuple[tuple[int, Fraction], ...]]]:
     """The counterexample of each of the given extension statements that
-    fails: the ordered search over the entries of the prefix scan, which
-    it runs itself when none are given (no size check).
+    fails: the ordered search over the entries of the prefix scan.
 
     GTET walks the clopen chains on a in one fused search.  TET takes the
     clopen partitions of a in turn, each with its own depth-first search for
@@ -351,8 +351,7 @@ def _unlifted_structures(space: FiniteGT, statements, entries=None
     """
     found = {}
     todo = list(statements)
-    for a, tclopens, tracing in (_traced_closeds(space) if entries is None
-                                 else entries):
+    for a, tclopens, tracing in entries:
         for st in todo:
             if st == "GTET":
                 part = _first_unlifted_chain(space, a, tclopens, tracing)

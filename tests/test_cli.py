@@ -331,7 +331,6 @@ def test_census_clopen_properties_read_only_the_defect(monkeypatch, capsys):
 
     for owner, name in ((cli, "separation_profile"),
                         (cli, "decide_statement"),
-                        (cli, "decide_statements"),
                         (spaces, "separation_profile"),
                         (urysohn, "decide_statement"),
                         (urysohn, "decide_statements")):

@@ -65,9 +65,11 @@ def test_tet_matches_brute_force_on_the_census():
 def test_extension_searches_match_oracles_on_six_and_seven_points():
     for s in six_and_seven():
         oracles = {"GTET": chain_report(s), "TET": extension_report(s, "TET")}
-        walk = urysohn._unlifted_structures(s, ("TET", "GTET"))
+        walk = urysohn._unlifted_structures(s, ("TET", "GTET"),
+                                            urysohn._traced_closeds(s))
         for statement, oracle in oracles.items():
-            ce = urysohn._unlifted_structures(s, (statement,)).get(statement)
+            ce = urysohn._unlifted_structures(
+                s, (statement,), urysohn._traced_closeds(s)).get(statement)
             assert StatementReport(statement, ce is None,
                                    counterexample=ce) == oracle
             assert walk.get(statement) == oracle.counterexample
@@ -96,7 +98,8 @@ def test_verdicts_match_the_walk_and_the_oracles():
 def test_verdicts_match_the_walk_on_six_and_seven_points(monkeypatch):
     monkeypatch.setattr(urysohn, "EXTENSION_MAX_POINTS", 7)
     for s in six_and_seven():
-        found = urysohn._unlifted_structures(s, ("TET", "GTET"))
+        found = urysohn._unlifted_structures(s, ("TET", "GTET"),
+                                             urysohn._traced_closeds(s))
         assert extension_holds(s, ("GTET", "tet")) == {
             "GTET": "GTET" not in found, "TET": "TET" not in found}
 
@@ -141,7 +144,8 @@ def test_fused_memo_keeps_reaches_apart():
     s = make_space(*REACH_APART)
     oracle = chain_report(s)
     assert not oracle.holds
-    assert (urysohn._unlifted_structures(s, ("GTET",)).get("GTET")
+    assert (urysohn._unlifted_structures(s, ("GTET",),
+                                         urysohn._traced_closeds(s)).get("GTET")
             == oracle.counterexample)
 
 

@@ -1,5 +1,6 @@
 """Symbolic real-line checks: catalogs, closures, ramps, extensions, F."""
 
+import functools
 import random
 from fractions import Fraction as F
 
@@ -16,8 +17,9 @@ from gtopo.realline import (LiftedWitness, OpenTriple, SymbolicWitness,
                             disjoint_open_triple, effective_F, gul_witness,
                             image_and_connectedness, ladder_from_F,
                             product_gul_witness, tietze_extend)
-from gtopo.symsets import (ALL_REALS, EMPTY_SET, Interval, above, below,
-                           interval, make_set, point)
+from gtopo.symsets import (ALL_REALS, EMPTY_SET, Interval, SymbolicSet, above,
+                           below, interval, make_set, point)
+import catalog_oracle
 import effective_f_oracle
 from continuity_oracle import (is_continuous_everywhere, sweep_continuous,
                                trace_extend)
@@ -147,6 +149,70 @@ def test_classify_complement_duality():
             is_open = classify(s, space) in ("open", "clopen")
             comp_closed = classify(s.complement(), space) in ("closed", "clopen")
             assert is_open == comp_closed
+
+
+@functools.cache
+def _oracle_closure_over(lo, lo_in, hi, hi_in, space):
+    """The least end-flag variant of the hull from lo to hi that holds the
+    ends marked in and that catalog_oracle calls closed.  Every closed
+    superset of a set holds such a variant of the set's hull."""
+    supersets = []
+    for lc in {lo is not None and lo_in, lo is not None}:
+        for hc in {hi is not None and hi_in, hi is not None}:
+            if lo is None or lo != hi or lc and hc:
+                c = SymbolicSet((Interval(lo, hi, lc, hc),))
+                if catalog_oracle._is_closed_form(c, space):
+                    supersets.append((lc, hc, c))
+    least = [c for lc, hc, c in supersets
+             if all(lc <= ld and hc <= hd for ld, hd, _ in supersets)]
+    assert len(least) == 1, (lo, lo_in, hi, hi_in, space, supersets)
+    return least[0]
+
+
+def _rand_catalog_set(rng, pool):
+    """A union of one to three intervals, rays and points, ends in pool.
+    Unlike test_symsets.rand_set it never draws ∅, and its larger pool
+    makes draws rarely repeat, so 20,000 distinct sets come cheaply."""
+    ivs = []
+    for _ in range(rng.randrange(1, 4)):
+        a, b = sorted(rng.sample(pool, 2))
+        kind = rng.randrange(4)
+        if kind == 0:
+            ivs.append(Interval(a, b, rng.random() < .5, rng.random() < .5))
+        elif kind == 1:
+            ivs.append(Interval(None, a, False, rng.random() < .5))
+        elif kind == 2:
+            ivs.append(Interval(b, None, rng.random() < .5, False))
+        else:
+            ivs.append(Interval(a, a, True, True))
+    return make_set(ivs)
+
+
+def test_catalog_rule_matches_the_shape_oracle():
+    """classify and closure_sym, read off the one end-flag rule, against the
+    catalog lists written out shape by shape (catalog_oracle), on 20,000
+    distinct seeded unions of one to three intervals, rays and points, their
+    complements, and the catalog's edge shapes, in both spaces."""
+    rng = random.Random(2020)
+    ends = [F(n, 2) for n in range(-20, 21)]
+    pool = {S(e): None for e in (
+        "(-inf,0)|(0,inf)", "[0,0]", "(-inf,0)", "(-inf,0]", "(0,inf)",
+        "[0,inf)", "(-inf,0)|[1,inf)", "(-inf,0]|(1,inf)", "(-inf,0)|[0,1)",
+        "empty")}
+    while len(pool) < 20010:
+        pool[_rand_catalog_set(rng, ends)] = None
+    pool = list(pool) + [s.complement() for s in pool]
+    names = {(False, False): "neither", (False, True): "closed",
+             (True, False): "open", (True, True): "clopen"}
+    for s in pool:
+        hull = (s.inf() + s.sup()) if s.components else None
+        for space in ("gtn", "gts"):
+            expected = names[catalog_oracle._is_open_form(s, space),
+                             catalog_oracle._is_closed_form(s, space)]
+            assert classify(s, space) == expected, (s, space)
+            least = EMPTY_SET if hull is None else _oracle_closure_over(
+                *hull, space)
+            assert closure_sym(s, space) == least, (s, space)
 
 
 # --- closure -----------------------------------------------------------------
@@ -796,6 +862,27 @@ def test_product_witness_examples():
         product_gul_witness(S("[0,1]"), S("[0,1]"), S("[1,2]"), S("[0,1]"), "gtn")
     with pytest.raises(PreconditionError):
         product_gul_witness(S("(0,1)"), S("[0,1]"), S("[2,3]"), S("[0,1]"), "gtn")
+
+
+def test_closedness_refusals_name_each_input():
+    """Every input that must be closed is checked, and the refusal names it."""
+    good, bad = S("[0,1]"), S("(5,6)")
+    for space in ("gtn", "gts"):
+        for name in ("a", "b"):
+            pair = (bad, good) if name == "a" else (good, bad)
+            for call in (gul_witness, effective_F,
+                         lambda a, b, sp: ladder_from_F(a, b, sp, 2)):
+                with pytest.raises(PreconditionError,
+                                   match=f"^{name} is not closed in {space}$"):
+                    call(*pair, space)
+        for k, name in enumerate(("a1", "a2", "b1", "b2")):
+            sets = [good, good, S("[2,3]"), good]
+            sets[k] = bad
+            with pytest.raises(PreconditionError,
+                               match=f"^{name} is not closed in {space}$"):
+                product_gul_witness(*sets, space)
+    with pytest.raises(PreconditionError, match="^p is not closed in gtn$"):
+        tietze_extend(bad, RAMP, "gtaun")
 
 
 def test_product_witness_sweep():
