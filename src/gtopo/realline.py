@@ -22,7 +22,9 @@ gap-separated closed sets, Tietze-style extensions off closed pieces,
 continuity verdicts for piecewise-affine maps, the effective separation
 function F, which splits at the first qualifying rational of a fixed
 enumeration of ℚ (computed in closed form by a Stern–Brocot descent, with no
-enumeration walked and no cap), and the dyadic open-set ladders F generates.
+enumeration walked and no cap), and the dyadic open-set ladders F generates,
+built from one F call: every gts rung is the first, and gtn rung r is a ray
+at the first rational between the split points of r's dyadic neighbours.
 
 Continuity targets:
 
@@ -121,7 +123,8 @@ def _require_closed(space: str, **sets: SymbolicSet) -> None:
 
 
 def _check_closed_pair(a: SymbolicSet, b: SymbolicSet, space: str) -> None:
-    # Checked on every ladder rung: the keyword call is made only on failure.
+    # Checked on every F and ladder call: the keyword call, which names the
+    # first set that is not closed, is made only on failure.
     if not (_is_closed_form(a, space) and _is_closed_form(b, space)):
         _require_closed(space, a=a, b=b)
     if not a.isdisjoint(b):
@@ -257,14 +260,16 @@ def tietze_extend(p: SymbolicSet, f: PiecewiseMap, target: str) -> PiecewiseMap:
     (c,∞), (−∞,c) ∪ (d,∞)), and restricting g to p gives f back.  So f is
     continuous on the subspace p exactly when g is continuous on gtn, and
     the extension is accepted exactly then: for gtaun when f is monotone and
-    continuous on p, for taun when f is constant on p."""
+    continuous on p, for taun when f is constant on p.  A point p = [a,a]
+    has only the trace opens ∅ and p, so every f is continuous on it, and
+    the constant f(a) extends it: it pulls every open back to ∅ or ℝ."""
     check_target(target)
     _require_closed("gtn", p=p)
     if p.is_empty or p.is_all:
         raise PreconditionError("p must be a proper nonempty closed set")
     c = p.components[0]
     if c.is_singleton:
-        raise PreconditionError("singleton domains are not handled")
+        return constant_map(f.value_at(c.lo))
     zero = Fraction(0)
     bps, vals, pieces = _slice_between(f, c.lo, c.hi)
     if c.lo is not None:                   # freeze f(lo) below p
@@ -389,8 +394,30 @@ class SymbolicLadder:
 
 def ladder_from_F(a: SymbolicSet, b: SymbolicSet, space: str,
                   level: int) -> SymbolicLadder:
-    """Dyadic recursion: each new rung separates its neighbors' closure and
-    complement with effective_F, so the chain conditions hold by construction."""
+    """The dyadic ladder of F, in closed form from one effective_F call.
+
+    The ladder is defined by a recursion over the dyadics r of (0,1), level
+    by level: with neighbours r⁻ < r < r⁺ (dyadic_neighbors), rung r is
+    effective_F(closure of rung r⁻, complement of rung r⁺).u, where rung 0
+    stands for a and the complement of rung 1 for b.  So the chain
+    conditions hold by construction.  Rung ½ is u = effective_F(a, b).u.
+
+    * gts: every rung is u.  u is a or the complement of b (when that set is
+      open, and it is closed by hypothesis), (−∞,q) or [q,∞), so u is
+      gts-clopen: its closure is u and its complement is closed.  Each later
+      call is F(u, uᶜ), F(u, b) or F(a, uᶜ).  F returns u in the first two,
+      since u is open.  In the third it returns a when a is open, and u = a
+      then; otherwise uᶜ is open, and it returns the complement of uᶜ, u.
+    * gtn: rung r is the ray (−∞,q_r) when u is a left ray, (q_r,∞) when u
+      is a right ray.  The closure of (−∞,q) is (−∞,q] and its complement is
+      [q,∞); the closure of (q,∞) is [q,∞) and its complement is (−∞,q].
+      So each call splits two sets whose facing ends are the neighbours'
+      split points, both attained, and F's split point is the first rational
+      strictly between them: q_r = first_in_interval between the split
+      points of r⁻ and r⁺.  Neighbours 0 and 1 stand for the facing ends of
+      a and b: sup a and inf b, or inf a and sup b when u is a right ray,
+      each closed exactly when it is not attained, as in _first_split.
+    """
     _check_space(space)
     if not isinstance(level, int) or level < 1:
         raise InputError(f"level must be a positive integer, got {level!r}")
@@ -400,12 +427,26 @@ def ladder_from_F(a: SymbolicSet, b: SymbolicSet, space: str,
     _check_closed_pair(a, b, space)
     if a.is_empty or b.is_empty:
         raise PreconditionError("a and b must both be nonempty")
+    u = effective_F(a, b, space).u
+    if space == "gts":
+        return SymbolicLadder(tuple(sorted(
+            (r, u) for r in dyadics_by_level(level))))
+    left = u.components[0].lo is None
+    ray = below if left else above
+    (s, s_attained), (t, t_attained) = ((a.sup(), b.inf()) if left
+                                        else (a.inf(), b.sup()))
+    # (split point, closed) of each rung, with rungs 0 and 1 for a and b
+    splits = {Fraction(0): (s, not s_attained),
+              Fraction(1): (t, not t_attained)}
     rungs: dict[Fraction, SymbolicSet] = {}
     for r in dyadics_by_level(level):
         lo_n, hi_n = dyadic_neighbors(r)
-        lower = closure_sym(rungs[lo_n], space) if lo_n in rungs else a
-        upper = rungs[hi_n].complement() if hi_n in rungs else b
-        rungs[r] = effective_F(lower, upper, space).u
+        lo, hi = splits[lo_n], splits[hi_n]
+        if not left:
+            lo, hi = hi, lo
+        q = first_in_interval(*lo, *hi)
+        splits[r] = (q, False)
+        rungs[r] = ray(q)
     return SymbolicLadder(tuple(sorted(rungs.items())))
 
 

@@ -18,7 +18,7 @@ public API.
 from fractions import Fraction
 
 from gtopo.errors import PreconditionError
-from gtopo.pwmaps import make_pwmap
+from gtopo.pwmaps import constant_map, make_pwmap
 from gtopo.realline import classify
 from gtopo.symsets import Interval, make_set
 
@@ -199,7 +199,7 @@ def trace_extend(p, f, target: str):
     if p.is_empty or p.is_all:
         raise PreconditionError("p must be a proper nonempty closed set")
     if p.components[0].is_singleton:
-        raise PreconditionError("singleton domains are not handled")
+        return constant_map(f.value_at(p.components[0].lo))
     if not trace_continuous(p, f, target):
         raise PreconditionError(
             f"f is not {target}-continuous on the subspace p")

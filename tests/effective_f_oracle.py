@@ -1,4 +1,5 @@
-"""The effective separator F by scanning the fixed enumeration of Q.
+"""The effective separator F by scanning the fixed enumeration of Q, and
+the dyadic ladder of F by its defining recursion.
 
 This is how effective_F was computed before its closed form: walk 0, then
 the Calkin-Wilf walk interleaved with its negatives, and stop at the first
@@ -12,11 +13,17 @@ Deep scans would spend seconds in set algebra, so each rational is first
 tested against a few member points of a and b (the finite component ends
 each set contains).  That test is necessary for a hit, so it only skips
 rationals the set algebra would reject.
+
+recursive_ladder is how ladder_from_F was computed before its closed form:
+2^level - 1 calls of effective_F, one a rung.
 """
 
+import gtopo.realline as realline
 from gtopo.errors import ResourceError
-from gtopo.rationals import enum_all_rationals
-from gtopo.realline import SymbolicWitness, classify
+from gtopo.rationals import (dyadic_neighbors, dyadics_by_level,
+                             enum_all_rationals)
+from gtopo.realline import (SymbolicLadder, SymbolicWitness, classify,
+                            closure_sym)
 from gtopo.symsets import ALL_REALS, EMPTY_SET, above, below
 
 SCAN_CAP = 1_000_000
@@ -77,3 +84,18 @@ def scan_effective_F(a, b, space):
     if a.issubset(below(q)) and b.issubset(above(q, closed)):
         return SymbolicWitness(below(q), above(q, closed))
     return SymbolicWitness(above(q, closed), below(q))
+
+
+def recursive_ladder(a, b, space, level):
+    """ladder_from_F's ladder for a checked pair, by the dyadic recursion:
+    rung r separates the closure of the rung below it from the complement of
+    the rung above, with rung 0 standing for a and the complement of rung 1
+    for b.  effective_F is looked up on realline at every call, so a test
+    can record the calls."""
+    rungs = {}
+    for r in dyadics_by_level(level):
+        lo_n, hi_n = dyadic_neighbors(r)
+        lower = closure_sym(rungs[lo_n], space) if lo_n in rungs else a
+        upper = rungs[hi_n].complement() if hi_n in rungs else b
+        rungs[r] = realline.effective_F(lower, upper, space).u
+    return SymbolicLadder(tuple(sorted(rungs.items())))

@@ -66,7 +66,12 @@ def valid_texts():
             + [("set", format_set(s)) for s in sets])
 
 
-VALID = valid_texts()
+@pytest.fixture(scope="module")
+def valid():
+    """The formatter texts, built once for the module's tests."""
+    return valid_texts()
+
+
 TOKEN = re.compile(r"[A-Za-z]+|[0-9]+|\S")
 BLANKS = (" ", "\t", "  ", " \t", "\t \t")
 
@@ -80,17 +85,17 @@ def respaced(text, rng, gap):
     return rng.choice(("", " ", "\t")) + "".join(out) + rng.choice(("", " \t"))
 
 
-def test_valid_texts_agree():
+def test_valid_texts_agree(valid):
     for kind in PARSERS:
-        texts = [t for k, t in VALID if k == kind]
+        texts = [t for k, t in valid if k == kind]
         assert texts and mismatches(kind, texts) == []
 
 
-def test_blanks_in_every_gap():
+def test_blanks_in_every_gap(valid):
     # Blanks in every gap: before "/" and inside "-inf" the texts are
     # refused, and both parsers must refuse them alike.
     rng = random.Random(12003)
-    for kind, text in VALID:
+    for kind, text in valid:
         variants = [respaced(text, rng, lambda a, b, r: r.choice(BLANKS))
                     for _ in range(3)]
         assert mismatches(kind, variants) == []
@@ -103,11 +108,11 @@ def allowed_gap(left, right, rng):
     return rng.choice(BLANKS)
 
 
-def test_documented_whitespace_rule():
+def test_documented_whitespace_rule(valid):
     # Blanks and tabs between any two tokens, after a leading "-" and after
     # "/", change nothing.
     rng = random.Random(12004)
-    for kind, text in VALID:
+    for kind, text in valid:
         new, old = PARSERS[kind]
         spaced = respaced(text, rng, allowed_gap)
         assert new(spaced) == new(text) == old(spaced)
@@ -177,18 +182,18 @@ def test_edge_texts_agree(kind, texts):
 # their values are equal: ends spelled apart still tile, an at clause spelled
 # apart still lands on its breakpoint, and a duplicate spelled apart is still
 # refused, with the message and position of the scanner.
-SPELLED_APART = {
+SPELLED_APART = {   # text -> make_pwmap arguments of its map
     "on (-inf,1/2): 0*x+0; at 2/4: 5; on (2/4,inf): 0*x+1":
-        make_pwmap((F(1, 2),), ((0, 0), (0, 1)), (5,)),
+        ((F(1, 2),), ((0, 0), (0, 1)), (5,)),
     "on (2/4,inf): 0*x+1; on (-inf,1/2): 2*x+0":
-        make_pwmap((F(1, 2),), ((2, 0), (0, 1)), (1,)),
+        ((F(1, 2),), ((2, 0), (0, 1)), (1,)),
     "on (-inf,0): 0*x+0; at -0: 1; on (0/3,1): -0*x+1; at 1: 1; "
     "on (1,inf): 0*x+0/3":
-        make_pwmap((0, 1), ((0, 0), (0, 1), (0, 0)), (1, 1)),
+        ((0, 1), ((0, 0), (0, 1), (0, 0)), (1, 1)),
     "on (-inf,-0): 1*x-0; on (0/3,inf): 1*x+0":
-        make_pwmap((0,), ((1, 0), (1, 0)), (0,)),
+        ((0,), ((1, 0), (1, 0)), (0,)),
     "on (-inf,0/3): -1/2*x+2/4; at 0: -0; on (-0,inf): 0*x-0":
-        make_pwmap((0,), ((F(-1, 2), F(1, 2)), (0, 0)), (0,)),
+        ((0,), ((F(-1, 2), F(1, 2)), (0, 0)), (0,)),
 }
 SPELLED_APART_ERRORS = [
     "on (-inf,1/2): 0*x+0; at 1/2: 0; at 2/4: 1; on (2/4,inf): 0*x+1",
@@ -205,7 +210,7 @@ SPELLED_APART_ERRORS = [
 
 def test_equal_numbers_spelled_apart():
     for text, expected in SPELLED_APART.items():
-        assert parse_map(text) == expected, text
+        assert parse_map(text) == make_pwmap(*expected), text
     assert mismatches("map", list(SPELLED_APART)) == []
     assert mismatches("map", SPELLED_APART_ERRORS) == []
     outcomes = [outcome(parse_map, t) for t in SPELLED_APART_ERRORS]
@@ -281,10 +286,10 @@ def edits(text, rng):
 ALPHABET = " \t0123456789/-+*x()[],|:;einfalmptyox_\n"
 
 
-def test_seeded_one_character_edits():
+def test_seeded_one_character_edits(valid):
     rng = random.Random(12005)
     for kind in PARSERS:
-        texts = [t for k, t in VALID if k == kind]
+        texts = [t for k, t in valid if k == kind]
         edited = [edits(rng.choice(texts), rng) for _ in range(2000)]
         assert mismatches(kind, edited) == []
 

@@ -23,12 +23,18 @@ import catalog_oracle
 import effective_f_oracle
 from continuity_oracle import (is_continuous_everywhere, sweep_continuous,
                                trace_extend)
-from effective_f_oracle import scan_effective_F, scan_split_point
+from effective_f_oracle import (recursive_ladder, scan_effective_F,
+                                scan_split_point)
 from test_pwmaps import POOL, RAMP, STEP, rand_map
 from test_symsets import rand_set
 
 S = parse_set
-GUL_EXAMPLE = gul_witness(S("[0,1]"), S("[2,3]"), "gtn")  # ramp over (1,2)
+
+
+@pytest.fixture
+def gul_example():
+    """gul_witness of [0,1] and [2,3] in gtn: the ramp over (1,2)."""
+    return gul_witness(S("[0,1]"), S("[2,3]"), "gtn")
 
 
 def rand_closed_pair(rng, space, dens=(1, 2)):
@@ -314,11 +320,11 @@ def test_gul_witness_separates_and_is_g_continuous():
 
 # --- continuity --------------------------------------------------------------
 
-def test_continuity_examples():
-    assert check_continuity_sym(GUL_EXAMPLE, "gtn", "gtaun")
-    assert not check_continuity_sym(GUL_EXAMPLE, "gtn", "taun")
+def test_continuity_examples(gul_example):
+    assert check_continuity_sym(gul_example, "gtn", "gtaun")
+    assert not check_continuity_sym(gul_example, "gtn", "taun")
     # the failing window: (1/4,1/2) pulls back to a bounded interval
-    assert GUL_EXAMPLE.preimage_open(F(1, 4), F(1, 2)) == S("(5/4,3/2)")
+    assert gul_example.preimage_open(F(1, 4), F(1, 2)) == S("(5/4,3/2)")
     for source in ("gtn", "gts"):
         for target in ("taun", "gtaun"):
             assert check_continuity_sym(constant_map(F(2, 7)), source, target)
@@ -570,6 +576,20 @@ def test_tietze_bounded_interval():
         tietze_extend(S("[0,2]"), half, "taun")   # x/2 is not window-continuous
 
 
+def test_tietze_singleton_is_constant():
+    # Any map is continuous on a point, even a peak or a step there.
+    peak = make_pwmap((0,), ((1, 0), (-1, 0)), (0,))
+    for p, f, v in ((S("[1,1]"), RAMP, RAMP.value_at(1)),
+                    (S("[0,0]"), STEP, STEP.value_at(0)),
+                    (S("[0,0]"), peak, 0)):
+        for target in ("taun", "gtaun"):
+            ext = tietze_extend(p, f, target)
+            assert ext == constant_map(v)
+            assert ext.equals_on(f, p)
+            assert check_continuity_sym(ext, "gtn", target)
+            assert check_continuity_sym(ext, "gts", target)
+
+
 def test_tietze_left_ray():
     ext = tietze_extend(S("(-inf,0]"), constant_map(0), "taun")
     assert ext.equals_on(constant_map(0), ALL_REALS)
@@ -596,7 +616,7 @@ def test_tietze_keeps_interior_breakpoints():
 
 def test_tietze_rejections():
     f = constant_map(0)
-    for bad in (S("empty"), S("all"), S("[1,1]"), S("(0,1]"), S("(0,1)")):
+    for bad in (S("empty"), S("all"), S("(0,1]"), S("(0,1)")):
         with pytest.raises(PreconditionError):
             tietze_extend(bad, f, "taun")
     vee = make_pwmap((1,), ((-1, 1), (1, -1)), (0,))
@@ -632,21 +652,20 @@ def test_tietze_matches_trace_decider():
                 seen.add(got if isinstance(got, str) else "extended")
     assert seen == {"extended", "p is not closed in gtn",
                     "p must be a proper nonempty closed set",
-                    "singleton domains are not handled",
                     "f is not taun-continuous on the subspace p",
                     "f is not gtaun-continuous on the subspace p"}
 
 
 # --- image / triple ----------------------------------------------------------
 
-def test_image_and_connectedness_examples():
-    assert image_and_connectedness(GUL_EXAMPLE) == (S("[0,1]"), True)
+def test_image_and_connectedness_examples(gul_example):
+    assert image_and_connectedness(gul_example) == (S("[0,1]"), True)
     assert image_and_connectedness(STEP) == (S("[0,0]|[1,1]"), False)
     assert image_and_connectedness(constant_map(7)) == (S("[7,7]"), True)
 
 
-def test_disjoint_open_triple_examples():
-    t = disjoint_open_triple(GUL_EXAMPLE)
+def test_disjoint_open_triple_examples(gul_example):
+    t = disjoint_open_triple(gul_example)
     assert t.u == S("(-inf,5/4)") and t.verdicts[0] == "open"
     assert t.v == S("(4/3,5/3)") and t.verdicts[1] == "neither"
     assert t.w == S("(7/4,inf)") and t.verdicts[2] == "open"
@@ -746,8 +765,8 @@ LADDER_PAIRS = {
 }
 
 
-@pytest.mark.parametrize("space", ["gtn", "gts"])
-def test_effective_f_matches_scan_on_ladder_rungs(space, monkeypatch):
+def _recording_effective_f(monkeypatch):
+    """Route realline.effective_F through a recorder; returns its calls."""
     calls = []
     original = realline.effective_F
 
@@ -757,12 +776,57 @@ def test_effective_f_matches_scan_on_ladder_rungs(space, monkeypatch):
         return w
 
     monkeypatch.setattr(realline, "effective_F", recording)
+    return calls
+
+
+@pytest.mark.parametrize("space", ["gtn", "gts"])
+def test_effective_f_matches_scan_on_ladder_rungs(space, monkeypatch):
+    # The ladder's defining recursion makes one effective_F call a rung.
+    calls = _recording_effective_f(monkeypatch)
     for a, b in LADDER_PAIRS[space]:
         calls.clear()
-        ladder_from_F(S(a), S(b), space, 8)
+        recursive_ladder(S(a), S(b), space, 8)
         assert len(calls) == 255
         for lower, upper, sp, w in calls:
             assert scan_effective_F(lower, upper, sp) == w
+
+
+def test_ladder_calls_effective_f_once(monkeypatch):
+    calls = _recording_effective_f(monkeypatch)
+    for space, pairs in LADDER_PAIRS.items():
+        for a, b in pairs:
+            calls.clear()
+            lad = ladder_from_F(S(a), S(b), space, 8)
+            assert [c[:3] for c in calls] == [(S(a), S(b), space)]
+            assert lad.get(F(1, 2)) == calls[0][3].u
+
+
+# Touching gts pairs, in both orientations, and pairs with an open member.
+TOUCHING_GTS = (("[0,1)", "[1,2]"), ("[1,2]", "[0,1)"), ("[0,1)", "[1,1]"),
+                ("[1,1]", "[-1,1)"), ("(-inf,1)", "[1,inf)"),
+                ("[1,inf)", "[-1,1)"), ("(-inf,0)", "[2,3]"))
+
+
+def test_ladder_closed_form_matches_recursion():
+    for space, pairs in LADDER_PAIRS.items():
+        for a, b in pairs:
+            for level in range(1, 9):
+                assert ladder_from_F(S(a), S(b), space, level) \
+                    == recursive_ladder(S(a), S(b), space, level), (a, b)
+    cases = [("gts", S(a), S(b)) for a, b in TOUCHING_GTS]
+    rng = random.Random(21001)
+    for _ in range(30):
+        for space in ("gtn", "gts"):
+            cases.append((space, *rand_closed_pair(rng, space,
+                                                   dens=range(1, 8))))
+    mirrored = 0
+    for space, a, b in cases:
+        lo, _ = a.inf()         # mirrored: a lies above b
+        mirrored += lo is not None and not b.isdisjoint(below(lo))
+        for level in range(1, 7):
+            assert ladder_from_F(a, b, space, level) \
+                == recursive_ladder(a, b, space, level), (space, a, b)
+    assert 20 < mirrored < len(cases) - 20
 
 
 def test_effective_f_preconditions():
@@ -841,12 +905,12 @@ def test_ladder_errors():
 
 # --- products ----------------------------------------------------------------
 
-def test_product_witness_examples():
+def test_product_witness_examples(gul_example):
     w = product_gul_witness(S("[0,1]"), S("[0,1]"), S("[2,3]"), S("[0,1]"), "gtn")
     assert w.coordinate == 1
     assert w.value_at(F(1, 2), F(1, 2)) == 0
     assert w.value_at(F(5, 2), F(0)) == 1
-    assert w.base == GUL_EXAMPLE
+    assert w.base == gul_example
 
     w2 = product_gul_witness(S("[0,1]"), S("[0,1]"), S("[0,1]"), S("[3,4]"), "gtn")
     assert w2.coordinate == 2
